@@ -9,7 +9,7 @@ from .config import (
     desk_model,
     full_scale_model,
 )
-from .encoders import Runtime, forward_batch, model_forward
+from .encoders import Runtime, forward_batch
 from .heads import LossBundle, pretrain_losses
 from .params import init_params, parameter_layout
 from .tensor import Tape, Tensor, backward
@@ -31,7 +31,6 @@ __all__ = [
     "forward_batch",
     "full_scale_model",
     "init_params",
-    "model_forward",
     "parameter_layout",
     "pretrain_losses",
     "__version__",

@@ -224,8 +224,7 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None) -> Checkpo
                     raise CheckpointFormatError(f"unexpected moment tensor {name!r}")
             opt_state = OptimizerState(m=m, v=v, **opt_meta)
 
-    _validate_layout(raw_params, expected_config or config,
-                     heads if expected_config is None else heads)
+    _validate_layout(raw_params, expected_config or config, heads)
     params = {name: Tensor(data, requires_grad=True) for name, data in raw_params.items()}
     return Checkpoint(config=config, heads=heads, params=params,
                       opt_state=opt_state, rng_state=rng_state, extra=extra)

@@ -7,12 +7,11 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .checkpoint import CheckpointError, load_checkpoint
 from .config import RunConfig, load_run_config, save_run_config
 from .data import (
     DEFAULT_LABELS,
+    FeatureStoreError,
     Vocabulary,
     corpus_stats,
     format_stats,
@@ -226,10 +225,7 @@ def main(argv=None) -> int:
     except CheckpointError as exc:
         print(f"error[checkpoint]: {exc}", file=sys.stderr)
         return EXIT_CHECKPOINT
-    except FileNotFoundError as exc:
-        print(f"error[data]: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (KeyError, OSError, json.JSONDecodeError) as exc:
+    except (FeatureStoreError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error[data]: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:

@@ -53,6 +53,10 @@ class ModelConfig:
         for name, value in counts.items():
             if value < 1:
                 raise ValueError(f"config field {name} must be >= 1, got {value}")
+        if self.use_sep and self.max_sentence_len < 2:
+            raise ValueError(
+                f"max_sentence_len must be >= 2 with use_sep, got {self.max_sentence_len}"
+            )
         if self.hidden_size % self.num_heads != 0:
             raise ValueError(
                 f"hidden_size {self.hidden_size} not divisible by num_heads {self.num_heads}"

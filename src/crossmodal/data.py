@@ -57,15 +57,12 @@ class Vocabulary:
         return self.tokens[token_id]
 
     @classmethod
-    def from_records(cls, records, max_size: int | None = None) -> "Vocabulary":
+    def from_records(cls, records) -> "Vocabulary":
         counts = Counter()
         for r in records:
             counts.update(split_words(r.sentence))
         ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        words = [w for w, _ in ranked]
-        if max_size is not None:
-            words = words[: max(0, max_size - cls.n_special)]
-        return cls(words)
+        return cls([w for w, _ in ranked])
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -265,16 +262,15 @@ class ObjectSet:
 
 def tokenize(sentence: str, vocab: Vocabulary, max_len: int, use_sep: bool = True) -> TokenSequence:
     """Tokenize into [CLS] words... [SEP], truncated to ``max_len`` ids."""
+    reserved = 2 if use_sep else 1
+    if max_len < reserved:
+        raise ValueError(f"max_len must be >= {reserved} with use_sep={use_sep}, got {max_len}")
     words = split_words(sentence)
-    budget = max_len - 1 - (1 if use_sep else 0)
+    budget = max_len - reserved
     ids = [vocab.cls_id] + [vocab.id_of(w) for w in words[:budget]]
     if use_sep:
         ids.append(vocab.sep_id)
     return TokenSequence(np.array(ids, dtype=np.int64))
-
-
-def detokenize(ids, vocab: Vocabulary) -> list[str]:
-    return [vocab.token_of(int(i)) for i in ids]
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +278,17 @@ def detokenize(ids, vocab: Vocabulary) -> list[str]:
 
 _STORE_MAGIC = b"XMFS"
 _STORE_VERSION = 1
+
+
+class FeatureStoreError(ValueError):
+    """A feature store file that is not one, or is truncated or corrupt."""
+
+
+def _read_exact(fh, n: int) -> bytes:
+    raw = fh.read(n)
+    if len(raw) != n:
+        raise FeatureStoreError("unexpected end of feature store file")
+    return raw
 
 
 class FeatureStore:
@@ -342,18 +349,22 @@ class FeatureStore:
         with open(path, "rb") as fh:
             magic = fh.read(4)
             if magic != _STORE_MAGIC:
-                raise ValueError(f"not a feature store file (magic {magic!r})")
-            version, m, feat_dim, count = struct.unpack("<IIII", fh.read(16))
+                raise FeatureStoreError(f"not a feature store file (magic {magic!r})")
+            version, m, feat_dim, count = struct.unpack("<IIII", _read_exact(fh, 16))
             if version != _STORE_VERSION:
-                raise ValueError(f"unsupported feature store version {version}")
+                raise FeatureStoreError(f"unsupported feature store version {version}")
             store = cls(m, feat_dim)
             for _ in range(count):
-                (id_len,) = struct.unpack("<I", fh.read(4))
-                image_id = fh.read(id_len).decode("utf-8")
-                feats = np.frombuffer(fh.read(4 * m * feat_dim), dtype="<f4").reshape(m, feat_dim)
-                boxes = np.frombuffer(fh.read(4 * m * 4), dtype="<f4").reshape(m, 4)
-                labels = np.frombuffer(fh.read(4 * m), dtype="<i4")
-                store.add(image_id, feats, boxes, labels.astype(np.int32))
+                (id_len,) = struct.unpack("<I", _read_exact(fh, 4))
+                try:
+                    image_id = _read_exact(fh, id_len).decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise FeatureStoreError(f"corrupt image id: {exc}") from exc
+                feats = np.frombuffer(_read_exact(fh, 4 * m * feat_dim), dtype="<f4")
+                boxes = np.frombuffer(_read_exact(fh, 4 * m * 4), dtype="<f4")
+                labels = np.frombuffer(_read_exact(fh, 4 * m), dtype="<i4")
+                store.add(image_id, feats.reshape(m, feat_dim), boxes.reshape(m, 4),
+                          labels.astype(np.int32))
         return store
 
 
@@ -373,7 +384,6 @@ class BatchRow:
 @dataclass
 class CrossModalBatch:
     rows: list[BatchRow]
-    seed: int | None = None
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -451,8 +461,8 @@ class BatchMaker:
             answer_index = self.answer_table.lookup(answer)
         return BatchRow(tokens, objects, matched, answer_index, is_question)
 
-    def make_batch(self, records, rng: np.random.Generator, seed: int | None = None) -> CrossModalBatch:
-        return CrossModalBatch([self.make_row(r, rng) for r in records], seed=seed)
+    def make_batch(self, records, rng: np.random.Generator) -> CrossModalBatch:
+        return CrossModalBatch([self.make_row(r, rng) for r in records])
 
 
 @dataclass

@@ -11,8 +11,6 @@ from .tensor import Tensor, embedding_lookup, layer_norm, matmul, tensor
 def embed_words(token_ids: np.ndarray, params: dict[str, Tensor], cfg: ModelConfig) -> Tensor:
     """h_i = LayerNorm(WordEmbed(w_i) + IdxEmbed(i)) for a (B, n) id batch."""
     ids = np.asarray(token_ids, dtype=np.int64)
-    if ids.ndim == 1:
-        ids = ids[None, :]
     n = ids.shape[-1]
     pos_table = params["emb.pos"]
     if n > pos_table.shape[0]:
@@ -31,19 +29,13 @@ def embed_objects(
     params: dict[str, Tensor],
     cfg: ModelConfig,
 ) -> Tensor:
-    """v_j = (LayerNorm(W_F f_j + b_F) + LayerNorm(W_P p_j + b_P)) / 2.
+    """v_j = (LayerNorm(W_F f_j + b_F) + LayerNorm(W_P p_j + b_P)) / 2 for (B, m, .) inputs.
 
     Each branch is normalized before the sum to balance the energy of the
     two feature types. Masked objects have f_j zeroed before projection;
     their boxes are kept so the model knows where the masked object is.
     """
     feats = np.asarray(roi_features)
-    bx = np.asarray(boxes)
-    if feats.ndim == 2:
-        feats = feats[None]
-        bx = bx[None]
-        if mask_flags is not None:
-            mask_flags = np.asarray(mask_flags)[None]
     fw = params["emb.feat_w"]
     if feats.shape[-1] != fw.shape[0]:
         raise ValueError(
@@ -53,7 +45,7 @@ def embed_objects(
         keep = (~np.asarray(mask_flags, dtype=bool))[..., None]
         feats = feats * keep
     f = tensor(feats)
-    p = tensor(bx)
+    p = tensor(boxes)
     fh = layer_norm(matmul(f, fw) + params["emb.feat_b"],
                     params["emb.feat_ln.g"], params["emb.feat_ln.b"], cfg.ln_eps)
     ph = layer_norm(matmul(p, params["emb.box_w"]) + params["emb.box_b"],

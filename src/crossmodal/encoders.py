@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import ModelConfig
-from .data import BatchRow, ObjectSet, PackedBatch, TokenSequence
+from .data import PackedBatch
 from .embeddings import embed_objects, embed_words
 from .tensor import (
     Tensor,
@@ -185,40 +185,3 @@ def forward_batch(packed: PackedBatch, params: dict[str, Tensor], cfg: ModelConf
     cls = lang[:, 0, :]
     return ModelOutputs(lang=lang, vis=vis, cls=cls, attention=records)
 
-
-def model_forward(
-    tokens: TokenSequence,
-    objects: ObjectSet,
-    params: dict[str, Tensor],
-    cfg: ModelConfig,
-    rt: Runtime = EVAL,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[AttentionRecord]]:
-    """Single-pair convenience wrapper: (n, d) language, (m, d) vision, (d,) cls."""
-    row = BatchRow(tokens, objects, match_label=True,
-                   answer_index=-1, is_question=False)
-    packed = _pack_single(row, cfg)
-    out = forward_batch(packed, params, cfg, rt)
-    return out.lang.data[0], out.vis.data[0], out.cls.data[0], out.attention
-
-
-def _pack_single(row, cfg: ModelConfig) -> PackedBatch:
-    seq = row.tokens
-    obj = row.objects
-    n = seq.n
-    m = obj.m
-    targets = seq.mlm_targets if seq.mlm_targets is not None else np.full(n, -1, dtype=np.int64)
-    reg = obj.regression_targets if obj.regression_targets is not None else obj.roi_features
-    return PackedBatch(
-        token_ids=seq.token_ids[None, :],
-        token_mask=np.ones((1, n), dtype=bool),
-        mlm_targets=targets[None, :],
-        roi_features=obj.roi_features[None],
-        boxes=obj.boxes[None],
-        detected_labels=obj.detected_labels[None],
-        obj_mask_flags=obj.mask_flags[None],
-        regression_targets=np.asarray(reg)[None],
-        obj_real=np.ones((1, m), dtype=bool),
-        match_labels=np.array([int(row.match_label)], dtype=np.int64),
-        answer_indices=np.array([row.answer_index], dtype=np.int64),
-        is_question=np.array([row.is_question], dtype=bool),
-    )

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ModelConfig
 from .data import OUT_OF_TABLE, PackedBatch
 from .encoders import ModelOutputs
 from .tensor import (
@@ -63,6 +62,12 @@ def _zero_loss(like: Tensor) -> Tensor:
     return tensor(0.0, dtype=like.data.dtype)
 
 
+def head_logits(x: Tensor, params: dict[str, Tensor], head: str) -> Tensor:
+    """``x @ W + b`` for the named output head: ``head.match``, ``head.qa``,
+    ``head.obj_feat`` or ``head.obj_label``. The losses and evaluation share it."""
+    return matmul(x, params[f"{head}.w"]) + params[f"{head}.b"]
+
+
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean softmax cross-entropy of (N, C) logits against N integer targets."""
     return -tmean(take_rows(log_softmax(logits), targets))
@@ -99,7 +104,7 @@ def roi_feature_regression_loss(vis_out: Tensor, mask_flags: np.ndarray,
         return _zero_loss(vis_out), 0
     b, m, d = vis_out.shape
     rows = vis_out.reshape((b * m, d))[flags.reshape(-1)]
-    pred = matmul(rows, params["head.obj_feat.w"]) + params["head.obj_feat.b"]
+    pred = head_logits(rows, params, "head.obj_feat")
     target = np.asarray(regression_targets).reshape(b * m, -1)[flags.reshape(-1)]
     diff = pred - tensor(target, dtype=pred.data.dtype)
     return tsum(diff * diff) / count, count
@@ -118,7 +123,7 @@ def detected_label_loss(vis_out: Tensor, mask_flags: np.ndarray,
         return _zero_loss(vis_out), 0
     b, m, d = vis_out.shape
     rows = vis_out.reshape((b * m, d))[flags.reshape(-1)]
-    logits = matmul(rows, params["head.obj_label.w"]) + params["head.obj_label.b"]
+    logits = head_logits(rows, params, "head.obj_label")
     picked = np.asarray(detected_labels).reshape(-1)[flags.reshape(-1)]
     return cross_entropy(logits, picked), count
 
@@ -126,7 +131,7 @@ def detected_label_loss(vis_out: Tensor, mask_flags: np.ndarray,
 def match_loss(cls_out: Tensor, match_labels: np.ndarray,
                params: dict[str, Tensor]) -> tuple[Tensor, int]:
     """Two-way matched/mismatched classification on the fused [CLS] vector."""
-    logits = matmul(cls_out, params["head.match.w"]) + params["head.match.b"]
+    logits = head_logits(cls_out, params, "head.match")
     labels = np.asarray(match_labels, dtype=np.int64)
     return cross_entropy(logits, labels), int(labels.shape[0])
 
@@ -147,7 +152,7 @@ def qa_loss(cls_out: Tensor, answer_indices: np.ndarray, match_labels: np.ndarra
     if count == 0:
         return _zero_loss(cls_out), 0
     rows = cls_out[active]
-    logits = matmul(rows, params["head.qa.w"]) + params["head.qa.b"]
+    logits = head_logits(rows, params, "head.qa")
     return cross_entropy(logits, answers[active]), count
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,9 +51,6 @@ class OptimizerState:
             beta1=beta1, beta2=beta2, eps=eps,
             peak_lr=peak_lr, warmup_fraction=warmup_fraction, total_steps=total_steps,
         )
-
-    def lr_at(self, step: int) -> float:
-        return lr_at_step(step, self.peak_lr, self.warmup_fraction, self.total_steps)
 
 
 def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray | None],

@@ -111,14 +111,21 @@ def parameter_layout(cfg: ModelConfig, heads: tuple[str, ...] = (PRETRAIN_HEADS,
     return layout
 
 
-def _is_gain(name: str) -> bool:
-    return name.endswith(".g")
-
-
-def _is_zero_init(name: str, shape) -> bool:
-    if name.endswith(".b") or len(shape) == 1:
-        return True
-    return False
+def _init_layout(layout: dict[str, tuple[int, ...]], rng: np.random.Generator,
+                 std: float) -> dict[str, Tensor]:
+    """Per name, in layout order: layer-norm gains 1, other 1-D tensors 0,
+    everything else truncated normal (the only draws from ``rng``)."""
+    dtype = default_dtype()
+    params: dict[str, Tensor] = {}
+    for name, shape in layout.items():
+        if name.endswith(".g"):
+            data = np.ones(shape, dtype=dtype)
+        elif len(shape) == 1:
+            data = np.zeros(shape, dtype=dtype)
+        else:
+            data = trunc_normal(rng, shape, std).astype(dtype)
+        params[name] = Tensor(data, requires_grad=True)
+    return params
 
 
 def init_params(cfg: ModelConfig, rng: np.random.Generator,
@@ -128,36 +135,12 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator,
     The weight std defaults to 1/sqrt(hidden_size) so attention sub-layers
     carry O(1) signal at any width; set ``cfg.init_std`` to pin a value.
     """
-    layout = parameter_layout(cfg, heads)
-    dtype = default_dtype()
-    std = cfg.weight_init_std
-    params: dict[str, Tensor] = {}
-    for name, shape in layout.items():
-        if _is_gain(name):
-            data = np.ones(shape, dtype=dtype)
-        elif _is_zero_init(name, shape):
-            data = np.zeros(shape, dtype=dtype)
-        else:
-            data = trunc_normal(rng, shape, std).astype(dtype)
-        params[name] = Tensor(data, requires_grad=True)
-    return params
+    return _init_layout(parameter_layout(cfg, heads), rng, cfg.weight_init_std)
 
 
 def init_head_params(cfg: ModelConfig, rng: np.random.Generator, head: str) -> dict[str, Tensor]:
     """Initialize just one head group (used when fine-tuning adds or resets heads)."""
     base = parameter_layout(cfg, heads=())
-    full = parameter_layout(cfg, heads=(head,))
-    dtype = default_dtype()
-    std = cfg.weight_init_std
-    params = {}
-    for name, shape in full.items():
-        if name in base:
-            continue
-        if _is_gain(name):
-            data = np.ones(shape, dtype=dtype)
-        elif _is_zero_init(name, shape):
-            data = np.zeros(shape, dtype=dtype)
-        else:
-            data = trunc_normal(rng, shape, std).astype(dtype)
-        params[name] = Tensor(data, requires_grad=True)
-    return params
+    layout = {name: shape for name, shape in parameter_layout(cfg, heads=(head,)).items()
+              if name not in base}
+    return _init_layout(layout, rng, cfg.weight_init_std)

@@ -69,9 +69,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def zero_grad(self):
         self.grad = np.zeros_like(self.data)
 
@@ -223,14 +220,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def tensor(data, requires_grad: bool = False, dtype=None) -> Tensor:
     arr = np.asarray(data, dtype=dtype if dtype is not None else _DEFAULT_DTYPE)
     return Tensor(arr, requires_grad=requires_grad)
-
-
-def zeros(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=_DEFAULT_DTYPE), requires_grad=requires_grad)
-
-
-def ones(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.ones(shape, dtype=_DEFAULT_DTYPE), requires_grad=requires_grad)
 
 
 def add(a, b) -> Tensor:

@@ -1,10 +1,14 @@
 """Training loops, evaluation, attention dumps, and data-directory plumbing.
 
-Pre-training runs in two phases: the QA loss is disabled for the first part
-of the epochs and enabled for the rest (``qa_start_fraction``, default the
-second half). One metrics line is appended per step. Checkpoints are saved
-per epoch with optimizer and rng state, so training can resume and
-reproduce the uninterrupted run exactly.
+Pre-training and both fine-tuning tasks run through one loop, ``_fit``.
+Each epoch it draws one shuffle of the rows; each step it zeroes the
+gradients, records the caller's step loss on a tape, back-propagates,
+clips, sets the scheduled learning rate, takes an Adam step and appends one
+metrics line. Pre-training runs in two phases: the QA loss is disabled for
+the first part of the epochs and enabled for the rest
+(``qa_start_fraction``, default the second half). Checkpoints are saved per
+epoch with optimizer and rng state, so training can resume and reproduce
+the uninterrupted run exactly.
 """
 
 from __future__ import annotations
@@ -37,11 +41,18 @@ from .data import (
     load_pairs,
     tokenize,
 )
-from .encoders import Runtime, forward_batch, model_forward
-from .heads import pairwise_bce, pairwise_logit, pretrain_losses, qa_loss
+from .encoders import EVAL, Runtime, forward_batch
+from .heads import (
+    head_logits,
+    pairwise_bce,
+    pairwise_forward,
+    pairwise_logit,
+    pretrain_losses,
+    qa_loss,
+)
 from .optim import OptimizerState, adam_step, clip_gradients, lr_at_step
 from .params import PAIRWISE_HEAD, PRETRAIN_HEADS, init_head_params, init_params
-from .tensor import Tape, Tensor, backward, matmul, zero_grads
+from .tensor import Tape, Tensor, backward, zero_grads
 
 CORPUS_FILE = "corpus.jsonl"
 FEATURES_FILE = "features.bin"
@@ -123,13 +134,58 @@ def _restore_rng(state: dict) -> np.random.Generator:
     return rng
 
 
-def _grad_dict(params: dict[str, Tensor]) -> dict[str, np.ndarray | None]:
-    return {name: p.grad for name, p in params.items()}
-
-
 def _clone_params(params: dict[str, Tensor]) -> dict[str, Tensor]:
     """Copy parameters so in-place optimizer updates cannot leak to the caller."""
     return {name: Tensor(p.data.copy(), requires_grad=True) for name, p in params.items()}
+
+
+def _total_steps(n_items: int, batch_size: int, epochs: int) -> int:
+    return math.ceil(n_items / batch_size) * epochs
+
+
+def _fit(items: list, step_loss, params: dict[str, Tensor], opt: OptimizerState,
+         rng: np.random.Generator, metrics_path, *, epochs: int, batch_size: int,
+         peak_lr: float, warmup_fraction: float, clip_norm: float | None, log=None,
+         phase2_epoch: int | None = None, phase2_lr: float | None = None,
+         resume_epoch: int | None = None, end_epoch=None) -> list[dict]:
+    """Train ``params`` in place over ``items``; return the metrics lines written.
+
+    Each epoch draws one permutation of ``items`` from ``rng``. Each step
+    calls ``step_loss(chunk, phase2)`` under a tape; it returns the scalar
+    loss and the loss fields of the metrics line. ``phase2`` is true from
+    epoch ``phase2_epoch`` on, where ``phase2_lr`` (when set) replaces the
+    peak learning rate. With ``resume_epoch`` the run starts at that epoch
+    and appends to ``metrics_path``. ``end_epoch(epoch)`` runs after every
+    epoch.
+    """
+    steps_per_epoch = math.ceil(len(items) / batch_size)
+    total_steps = steps_per_epoch * epochs
+    history: list[dict] = []
+    t0 = time.time()
+    with open(metrics_path, "w" if resume_epoch is None else "a", encoding="utf-8") as metrics:
+        for epoch in range(resume_epoch or 0, epochs):
+            phase2 = phase2_epoch is not None and epoch >= phase2_epoch
+            peak = phase2_lr if phase2 and phase2_lr is not None else peak_lr
+            order = rng.permutation(len(items))
+            for i in range(steps_per_epoch):
+                step = epoch * steps_per_epoch + i
+                chunk = [items[j] for j in order[i * batch_size:(i + 1) * batch_size]]
+                zero_grads(params)
+                with Tape():
+                    loss, fields = step_loss(chunk, phase2)
+                    backward(loss)
+                clip_gradients(params, clip_norm)
+                lr = lr_at_step(step, peak, warmup_fraction, total_steps)
+                adam_step(params, {name: p.grad for name, p in params.items()}, opt, lr)
+
+                line = {"step": step, "lr": lr, **fields, "wall_time": time.time() - t0}
+                metrics.write(json.dumps(line) + "\n")
+                history.append(line)
+                if log is not None and (step % 50 == 0 or step == total_steps - 1):
+                    log(f"step {step}/{total_steps} lr={lr:.2e} loss={loss.item():.4f}")
+            if end_epoch is not None:
+                end_epoch(epoch)
+    return history
 
 
 @dataclass
@@ -159,10 +215,7 @@ def run_pretraining(bundle: DataBundle, run_cfg: RunConfig, seed: int, out_dir,
         raise ValueError("corpus has no train records")
     cfg, table = resolve_model_config(run_cfg.model, bundle, sched.answer_coverage)
 
-    steps_per_epoch = math.ceil(len(train_records) / sched.batch_size)
-    total_steps = steps_per_epoch * sched.epochs
-    qa_start_epoch = int(round(sched.epochs * sched.qa_start_fraction))
-
+    resume_epoch = None
     if resume is not None:
         ckpt = load_checkpoint(resume, expected_config=cfg)
         params = ckpt.params
@@ -170,71 +223,49 @@ def run_pretraining(bundle: DataBundle, run_cfg: RunConfig, seed: int, out_dir,
         if opt is None:
             raise ValueError("resume checkpoint has no optimizer state")
         train_rng = _restore_rng(ckpt.rng_state)
-        start_epoch = int(ckpt.extra.get("epoch", 0))
+        resume_epoch = int(ckpt.extra.get("epoch", 0))
     else:
         seeds = np.random.SeedSequence(seed).spawn(2)
         init_rng = np.random.default_rng(seeds[0])
         train_rng = np.random.default_rng(seeds[1])
         params = init_params(cfg, init_rng, heads=(PRETRAIN_HEADS,))
+        total_steps = _total_steps(len(train_records), sched.batch_size, sched.epochs)
         opt = OptimizerState.init(params, sched.peak_lr, sched.warmup_fraction, total_steps)
-        start_epoch = 0
 
     maker = BatchMaker(train_records, bundle.store, bundle.vocab, table,
                        run_cfg.masking, cfg)
     rt = Runtime(training=True, rng=train_rng)
+
+    def step_loss(chunk, qa_enabled):
+        rows = [maker.make_row(r, train_rng) for r in chunk]
+        packed = collate(CrossModalBatch(rows), bundle.vocab)
+        out = forward_batch(packed, params, cfg, rt)
+        losses = pretrain_losses(packed, out, params, qa_enabled=qa_enabled,
+                                 gate_object_tasks=sched.gate_object_tasks)
+        return losses.total, losses.floats()
+
+    def checkpoint(epoch: int) -> Checkpoint:
+        return Checkpoint(
+            config=cfg, heads=(PRETRAIN_HEADS,), params=params,
+            opt_state=opt, rng_state=_rng_state(train_rng),
+            extra={"epoch": epoch, "answers": table.answers,
+                   "answer_coverage": sched.answer_coverage})
+
+    def save_epoch(epoch: int) -> None:
+        save_checkpoint(os.path.join(out_dir, f"checkpoint-epoch-{epoch + 1}.ckpt"),
+                        checkpoint(epoch + 1))
+
     metrics_path = os.path.join(out_dir, "metrics.jsonl")
-    history: list[dict] = []
-    t0 = time.time()
+    history = _fit(
+        train_records, step_loss, params, opt, train_rng, metrics_path,
+        epochs=sched.epochs, batch_size=sched.batch_size, peak_lr=sched.peak_lr,
+        warmup_fraction=sched.warmup_fraction, clip_norm=sched.clip_norm, log=log,
+        phase2_epoch=int(round(sched.epochs * sched.qa_start_fraction)),
+        phase2_lr=sched.phase2_lr, resume_epoch=resume_epoch,
+        end_epoch=save_epoch if sched.checkpoint_every_epoch else None)
 
-    mode = "a" if resume is not None else "w"
-    with open(metrics_path, mode, encoding="utf-8") as metrics:
-        for epoch in range(start_epoch, sched.epochs):
-            qa_enabled = epoch >= qa_start_epoch
-            peak = sched.peak_lr
-            if qa_enabled and sched.phase2_lr is not None:
-                peak = sched.phase2_lr
-            order = train_rng.permutation(len(train_records))
-            for i in range(steps_per_epoch):
-                step = epoch * steps_per_epoch + i
-                chunk = order[i * sched.batch_size:(i + 1) * sched.batch_size]
-                rows = [maker.make_row(train_records[j], train_rng) for j in chunk]
-                packed = collate(CrossModalBatch(rows), bundle.vocab)
-
-                zero_grads(params)
-                with Tape():
-                    out = forward_batch(packed, params, cfg, rt)
-                    bundle_losses = pretrain_losses(
-                        packed, out, params, qa_enabled=qa_enabled,
-                        gate_object_tasks=sched.gate_object_tasks)
-                    backward(bundle_losses.total)
-                clip_gradients(params, sched.clip_norm)
-                lr = lr_at_step(step, peak, sched.warmup_fraction, total_steps)
-                adam_step(params, _grad_dict(params), opt, lr)
-
-                line = {"step": step, "lr": lr}
-                line.update(bundle_losses.floats())
-                line["wall_time"] = time.time() - t0
-                metrics.write(json.dumps(line) + "\n")
-                history.append(line)
-                if log is not None and (step % 50 == 0 or step == total_steps - 1):
-                    log(f"step {step}/{total_steps} lr={lr:.2e} total={line['total']:.4f}")
-
-            if sched.checkpoint_every_epoch:
-                epoch_ckpt = Checkpoint(
-                    config=cfg, heads=(PRETRAIN_HEADS,), params=params,
-                    opt_state=opt, rng_state=_rng_state(train_rng),
-                    extra={"epoch": epoch + 1, "answers": table.answers,
-                           "answer_coverage": sched.answer_coverage})
-                save_checkpoint(os.path.join(out_dir, f"checkpoint-epoch-{epoch + 1}.ckpt"),
-                                epoch_ckpt)
-
-    final = Checkpoint(
-        config=cfg, heads=(PRETRAIN_HEADS,), params=params,
-        opt_state=opt, rng_state=_rng_state(train_rng),
-        extra={"epoch": sched.epochs, "answers": table.answers,
-               "answer_coverage": sched.answer_coverage})
     final_path = os.path.join(out_dir, "checkpoint-final.ckpt")
-    save_checkpoint(final_path, final)
+    save_checkpoint(final_path, checkpoint(sched.epochs))
     return PretrainResult(final_path, metrics_path, history, cfg, table.answers)
 
 
@@ -258,6 +289,30 @@ def _batched(items, size):
         yield items[i:i + size]
 
 
+def _ratio(hits: int, total: int) -> float:
+    return hits / total if total else float("nan")
+
+
+def _eval_split(bundle: DataBundle) -> list[CorpusRecord]:
+    return bundle.split("dev") or bundle.split("train")
+
+
+def _qa_accuracy(params: dict[str, Tensor], cfg: ModelConfig, bundle: DataBundle,
+                 table: AnswerTable, batch_size: int = 32) -> tuple[float, int]:
+    """QA accuracy over matched, in-table held-out questions, and their count."""
+    questions = [r for r in _eval_split(bundle)
+                 if r.is_question and table.lookup(r.answer) != OUT_OF_TABLE]
+    hits = 0
+    for chunk in _batched(questions, batch_size):
+        rows = [_plain_row(r, bundle.store, bundle.vocab, cfg, table.lookup(r.answer))
+                for r in chunk]
+        packed = collate(CrossModalBatch(rows), bundle.vocab)
+        out = forward_batch(packed, params, cfg)
+        logits = head_logits(out.cls, params, "head.qa").data
+        hits += int((logits.argmax(axis=1) == packed.answer_indices).sum())
+    return _ratio(hits, len(questions)), len(questions)
+
+
 def evaluate_checkpoint(ckpt: Checkpoint, bundle: DataBundle, seed: int,
                         batch_size: int = 32,
                         masking: MaskingConfig | None = None) -> dict:
@@ -269,7 +324,7 @@ def evaluate_checkpoint(ckpt: Checkpoint, bundle: DataBundle, seed: int,
         )
     answers = list((ckpt.extra or {}).get("answers", []))
     table = AnswerTable(answers)
-    dev = bundle.split("dev") or bundle.split("train")
+    dev = _eval_split(bundle)
     params = ckpt.params
     rng = np.random.default_rng(seed)
     masking = masking or MaskingConfig()
@@ -280,9 +335,9 @@ def evaluate_checkpoint(ckpt: Checkpoint, bundle: DataBundle, seed: int,
     maker = BatchMaker(dev, bundle.store, bundle.vocab, table, match_cfg, cfg)
     match_hits = match_total = 0
     for chunk in _batched(dev, batch_size):
-        packed = collate(CrossModalBatch([maker.make_row(r, rng) for r in chunk]), bundle.vocab)
+        packed = collate(maker.make_batch(chunk, rng), bundle.vocab)
         out = forward_batch(packed, params, cfg)
-        logits = (matmul(out.cls, params["head.match.w"]) + params["head.match.b"]).data
+        logits = head_logits(out.cls, params, "head.match").data
         match_hits += int((logits.argmax(axis=1) == packed.match_labels).sum())
         match_total += packed.size
 
@@ -292,37 +347,25 @@ def evaluate_checkpoint(ckpt: Checkpoint, bundle: DataBundle, seed: int,
     maker = BatchMaker(dev, bundle.store, bundle.vocab, table, label_cfg, cfg)
     label_hits = label_total = 0
     for chunk in _batched(dev, batch_size):
-        packed = collate(CrossModalBatch([maker.make_row(r, rng) for r in chunk]), bundle.vocab)
+        packed = collate(maker.make_batch(chunk, rng), bundle.vocab)
         out = forward_batch(packed, params, cfg)
         flags = packed.obj_mask_flags.reshape(-1)
         if not flags.any():
             continue
         b, m, d = out.vis.shape
-        rows = out.vis.data.reshape(b * m, d)[flags]
-        logits = rows @ params["head.obj_label.w"].data + params["head.obj_label.b"].data
+        logits = head_logits(out.vis.reshape((b * m, d))[flags], params, "head.obj_label").data
         truth = packed.detected_labels.reshape(-1)[flags]
         label_hits += int((logits.argmax(axis=1) == truth).sum())
         label_total += int(flags.sum())
 
-    # QA accuracy over matched, in-table dev questions
-    questions = [r for r in dev if r.is_question and table.lookup(r.answer) != OUT_OF_TABLE]
-    qa_hits = qa_total = 0
-    for chunk in _batched(questions, batch_size):
-        rows = [_plain_row(r, bundle.store, bundle.vocab, cfg, table.lookup(r.answer))
-                for r in chunk]
-        packed = collate(CrossModalBatch(rows), bundle.vocab)
-        out = forward_batch(packed, params, cfg)
-        logits = (matmul(out.cls, params["head.qa.w"]) + params["head.qa.b"]).data
-        qa_hits += int((logits.argmax(axis=1) == packed.answer_indices).sum())
-        qa_total += packed.size
-
+    qa_accuracy, qa_total = _qa_accuracy(params, cfg, bundle, table, batch_size)
     return {
-        "match_accuracy": match_hits / match_total if match_total else float("nan"),
+        "match_accuracy": _ratio(match_hits, match_total),
         "match_n": match_total,
-        "masked_label_accuracy": label_hits / label_total if label_total else float("nan"),
+        "masked_label_accuracy": _ratio(label_hits, label_total),
         "masked_label_n": label_total,
         "label_chance": 1.0 / cfg.num_labels if cfg.num_labels else float("nan"),
-        "qa_accuracy": qa_hits / qa_total if qa_total else float("nan"),
+        "qa_accuracy": qa_accuracy,
         "qa_n": qa_total,
     }
 
@@ -338,11 +381,6 @@ class FinetuneResult:
     history: list[dict]
     dev_accuracy: float
     answers: list[str] | None = None
-
-
-def _finetune_schedule(n_rows: int, batch_size: int, epochs: int) -> tuple[int, int]:
-    steps_per_epoch = math.ceil(n_rows / batch_size)
-    return steps_per_epoch, steps_per_epoch * epochs
 
 
 def run_finetune_qa(ckpt: Checkpoint, bundle: DataBundle, run_cfg: RunConfig,
@@ -375,49 +413,32 @@ def run_finetune_qa(ckpt: Checkpoint, bundle: DataBundle, run_cfg: RunConfig,
         params["head.qa.b"] = fresh["head.qa.b"]
 
     rows_train = [r for r in train_qs if table.lookup(r.answer) != OUT_OF_TABLE]
-    steps_per_epoch, total_steps = _finetune_schedule(len(rows_train), ft.batch_size, ft.epochs)
+    total_steps = _total_steps(len(rows_train), ft.batch_size, ft.epochs)
     opt = OptimizerState.init(params, ft.lr, ft.warmup_fraction, total_steps)
     rt = Runtime(training=True, rng=train_rng)
-    metrics_path = os.path.join(out_dir, "metrics.jsonl")
-    history = []
-    t0 = time.time()
 
-    with open(metrics_path, "w", encoding="utf-8") as metrics:
-        for epoch in range(ft.epochs):
-            order = train_rng.permutation(len(rows_train))
-            for i in range(steps_per_epoch):
-                step = epoch * steps_per_epoch + i
-                chunk = [rows_train[j] for j in order[i * ft.batch_size:(i + 1) * ft.batch_size]]
-                rows = [_plain_row(r, bundle.store, bundle.vocab, cfg, table.lookup(r.answer))
-                        for r in chunk]
-                packed = collate(CrossModalBatch(rows), bundle.vocab)
-                zero_grads(params)
-                with Tape():
-                    out = forward_batch(packed, params, cfg, rt)
-                    loss, _ = qa_loss(out.cls, packed.answer_indices, packed.match_labels,
-                                      packed.is_question, params)
-                    backward(loss)
-                clip_gradients(params, ft.clip_norm)
-                lr = lr_at_step(step, ft.lr, ft.warmup_fraction, total_steps)
-                adam_step(params, _grad_dict(params), opt, lr)
-                line = {"step": step, "lr": lr, "loss": loss.item(),
-                        "wall_time": time.time() - t0}
-                metrics.write(json.dumps(line) + "\n")
-                history.append(line)
-                if log is not None and step % 50 == 0:
-                    log(f"qa finetune step {step}/{total_steps} loss={line['loss']:.4f}")
+    def step_loss(chunk, _phase2):
+        rows = [_plain_row(r, bundle.store, bundle.vocab, cfg, table.lookup(r.answer))
+                for r in chunk]
+        packed = collate(CrossModalBatch(rows), bundle.vocab)
+        out = forward_batch(packed, params, cfg, rt)
+        loss, _ = qa_loss(out.cls, packed.answer_indices, packed.match_labels,
+                          packed.is_question, params)
+        return loss, {"loss": loss.item()}
+
+    metrics_path = os.path.join(out_dir, "metrics.jsonl")
+    history = _fit(rows_train, step_loss, params, opt, train_rng, metrics_path,
+                   epochs=ft.epochs, batch_size=ft.batch_size, peak_lr=ft.lr,
+                   warmup_fraction=ft.warmup_fraction, clip_norm=ft.clip_norm, log=log)
 
     final = Checkpoint(config=cfg, heads=(PRETRAIN_HEADS,), params=params,
                        opt_state=opt, rng_state=_rng_state(train_rng),
                        extra={"answers": table.answers, "finetuned": "qa"})
     final_path = os.path.join(out_dir, "checkpoint-final.ckpt")
     save_checkpoint(final_path, final)
-
-    eval_ckpt = Checkpoint(config=cfg, heads=(PRETRAIN_HEADS,), params=params,
-                           extra={"answers": table.answers})
-    dev_metrics = evaluate_checkpoint(eval_ckpt, bundle, seed=seed + 1)
+    dev_accuracy, _ = _qa_accuracy(params, cfg, bundle, table)
     return FinetuneResult(final_path, metrics_path, history,
-                          dev_accuracy=dev_metrics["qa_accuracy"], answers=table.answers)
+                          dev_accuracy=dev_accuracy, answers=table.answers)
 
 
 def _pair_rows(pairs: list[PairRecord], store: FeatureStore, vocab: Vocabulary,
@@ -430,6 +451,15 @@ def _pair_rows(pairs: list[PairRecord], store: FeatureStore, vocab: Vocabulary,
         packed1.append(_plain_row(r1, store, vocab, cfg))
         labels.append(int(p.label))
     return packed0, packed1, np.array(labels, dtype=np.int64)
+
+
+def _pair_cls(pairs: list[PairRecord], params: dict[str, Tensor], cfg: ModelConfig,
+              bundle: DataBundle, rt: Runtime = EVAL):
+    """Both images' [CLS] vectors for each pair, and the pair labels."""
+    rows0, rows1, labels = _pair_rows(pairs, bundle.store, bundle.vocab, cfg)
+    out0 = forward_batch(collate(CrossModalBatch(rows0), bundle.vocab), params, cfg, rt)
+    out1 = forward_batch(collate(CrossModalBatch(rows1), bundle.vocab), params, cfg, rt)
+    return out0.cls, out1.cls, labels
 
 
 def run_finetune_pairwise(ckpt: Checkpoint, bundle: DataBundle, run_cfg: RunConfig,
@@ -452,49 +482,25 @@ def run_finetune_pairwise(ckpt: Checkpoint, bundle: DataBundle, run_cfg: RunConf
     params.update(init_head_params(cfg, head_rng, PAIRWISE_HEAD))
     heads = tuple(dict.fromkeys(list(ckpt.heads) + [PAIRWISE_HEAD]))
 
-    steps_per_epoch, total_steps = _finetune_schedule(len(train_pairs), ft.batch_size, ft.epochs)
+    total_steps = _total_steps(len(train_pairs), ft.batch_size, ft.epochs)
     opt = OptimizerState.init(params, ft.lr, ft.warmup_fraction, total_steps)
     rt = Runtime(training=True, rng=train_rng)
+
+    def step_loss(chunk, _phase2):
+        cls0, cls1, labels = _pair_cls(chunk, params, cfg, bundle, rt)
+        loss = pairwise_bce(pairwise_logit(cls0, cls1, params, cfg.ln_eps), labels)
+        return loss, {"loss": loss.item()}
+
     metrics_path = os.path.join(out_dir, "metrics.jsonl")
-    history = []
-    t0 = time.time()
+    history = _fit(train_pairs, step_loss, params, opt, train_rng, metrics_path,
+                   epochs=ft.epochs, batch_size=ft.batch_size, peak_lr=ft.lr,
+                   warmup_fraction=ft.warmup_fraction, clip_norm=ft.clip_norm, log=log)
 
-    with open(metrics_path, "w", encoding="utf-8") as metrics:
-        for epoch in range(ft.epochs):
-            order = train_rng.permutation(len(train_pairs))
-            for i in range(steps_per_epoch):
-                step = epoch * steps_per_epoch + i
-                chunk = [train_pairs[j] for j in order[i * ft.batch_size:(i + 1) * ft.batch_size]]
-                rows0, rows1, labels = _pair_rows(chunk, bundle.store, bundle.vocab, cfg)
-                p0 = collate(CrossModalBatch(rows0), bundle.vocab)
-                p1 = collate(CrossModalBatch(rows1), bundle.vocab)
-                zero_grads(params)
-                with Tape():
-                    out0 = forward_batch(p0, params, cfg, rt)
-                    out1 = forward_batch(p1, params, cfg, rt)
-                    logit = pairwise_logit(out0.cls, out1.cls, params, cfg.ln_eps)
-                    loss = pairwise_bce(logit, labels)
-                    backward(loss)
-                clip_gradients(params, ft.clip_norm)
-                lr = lr_at_step(step, ft.lr, ft.warmup_fraction, total_steps)
-                adam_step(params, _grad_dict(params), opt, lr)
-                line = {"step": step, "lr": lr, "loss": loss.item(),
-                        "wall_time": time.time() - t0}
-                metrics.write(json.dumps(line) + "\n")
-                history.append(line)
-                if log is not None and step % 50 == 0:
-                    log(f"pairwise finetune step {step}/{total_steps} bce={line['loss']:.4f}")
-
-    hits = total = 0
+    hits = 0
     for chunk in _batched(dev_pairs, ft.batch_size):
-        rows0, rows1, labels = _pair_rows(chunk, bundle.store, bundle.vocab, cfg)
-        p0 = collate(CrossModalBatch(rows0), bundle.vocab)
-        p1 = collate(CrossModalBatch(rows1), bundle.vocab)
-        out0 = forward_batch(p0, params, cfg)
-        out1 = forward_batch(p1, params, cfg)
-        prob = 1.0 / (1.0 + np.exp(-pairwise_logit(out0.cls, out1.cls, params, cfg.ln_eps).data))
+        cls0, cls1, labels = _pair_cls(chunk, params, cfg, bundle)
+        prob = pairwise_forward(cls0, cls1, params, cfg.ln_eps).data
         hits += int(((prob > 0.5).astype(int) == labels).sum())
-        total += len(chunk)
 
     final = Checkpoint(config=cfg, heads=heads, params=params,
                        opt_state=opt, rng_state=_rng_state(train_rng),
@@ -502,7 +508,7 @@ def run_finetune_pairwise(ckpt: Checkpoint, bundle: DataBundle, run_cfg: RunConf
     final_path = os.path.join(out_dir, "checkpoint-final.ckpt")
     save_checkpoint(final_path, final)
     return FinetuneResult(final_path, metrics_path, history,
-                          dev_accuracy=hits / total if total else float("nan"))
+                          dev_accuracy=_ratio(hits, len(dev_pairs)))
 
 
 # ---------------------------------------------------------------------------
@@ -522,15 +528,13 @@ def dump_attention(ckpt: Checkpoint, bundle: DataBundle, index: int, out_path,
         raise ValueError(f"record index {index} out of range [0, {len(rows)})")
     record = rows[index]
     cfg = ckpt.config
-    seq = tokenize(record.sentence, bundle.vocab, cfg.max_sentence_len, cfg.use_sep)
-    feats, boxes, labels = bundle.store.get(record.image_id)
-    objects = ObjectSet(feats, boxes, labels.astype(np.int64))
+    row = _plain_row(record, bundle.store, bundle.vocab, cfg)
+    out = forward_batch(collate(CrossModalBatch([row]), bundle.vocab), ckpt.params, cfg)
 
-    _, _, _, records = model_forward(seq, objects, ckpt.params, cfg)
-
-    token_labels = [bundle.vocab.token_of(int(t)) for t in seq.token_ids]
+    token_labels = [bundle.vocab.token_of(int(t)) for t in row.tokens.token_ids]
+    labels, boxes = row.objects.detected_labels, row.objects.boxes
     object_labels = []
-    for j in range(objects.m):
+    for j in range(row.objects.m):
         name = bundle.label_names[int(labels[j])] if int(labels[j]) < len(bundle.label_names) else str(int(labels[j]))
         box = ", ".join(f"{v:.3f}" for v in boxes[j])
         object_labels.append(f"obj{j} {name} [{box}]")
@@ -545,7 +549,7 @@ def dump_attention(ckpt: Checkpoint, bundle: DataBundle, index: int, out_path,
         return object_labels, token_labels
 
     groups = []
-    for rec in records:
+    for rec in out.attention:
         q_labels, c_labels = labels_for(rec.direction)
         groups.append({
             "encoder": rec.encoder,

@@ -1,7 +1,10 @@
-"""Shared test oracles: central finite differences and gradient comparison."""
+"""Shared test oracles: central finite differences, gradient comparison, and a
+single-pair forward pass."""
 
 import numpy as np
 
+from crossmodal.data import BatchRow, CrossModalBatch, Vocabulary, collate
+from crossmodal.encoders import forward_batch
 from crossmodal.tensor import Tape, backward
 
 
@@ -57,3 +60,10 @@ def gradcheck(build_loss, leaves: dict[str, "object"], h: float = 1e-5,
     for name, leaf in leaves.items():
         numeric = numeric_grad(value, leaf.data, h)
         assert_grads_close(analytic[name], numeric, rtol=rtol, name=name)
+
+
+def forward_one(tokens, objects, params, cfg):
+    """One pair through collate + forward_batch: (n, d) lang, (m, d) vis, (d,) cls, attention."""
+    row = BatchRow(tokens, objects, True, -1, False)
+    out = forward_batch(collate(CrossModalBatch([row]), Vocabulary([])), params, cfg)
+    return out.lang.data[0], out.vis.data[0], out.cls.data[0], out.attention

@@ -31,7 +31,7 @@ from crossmodal.data import (
     generate_pairwise_corpus,
     generate_synthetic_corpus,
 )
-from crossmodal.encoders import Runtime, forward_batch, model_forward
+from crossmodal.encoders import Runtime, forward_batch
 from crossmodal.heads import pairwise_bce, pairwise_forward, pairwise_logit, pretrain_losses
 from crossmodal.optim import OptimizerState, adam_step, clip_gradients, lr_at_step
 from crossmodal.params import PAIRWISE_HEAD, init_head_params, init_params
@@ -58,7 +58,7 @@ from crossmodal.train import (
     run_pretraining,
 )
 
-from helpers import assert_grads_close, numeric_grad
+from helpers import assert_grads_close, forward_one, numeric_grad
 
 
 def report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -228,7 +228,7 @@ def test_criterion_2_architecture_invariants():
                 break
 
     # single-pair contract
-    lang, vis, cls, _ = model_forward(rows[0].tokens, rows[0].objects, params, cfg)
+    lang, vis, cls, _ = forward_one(rows[0].tokens, rows[0].objects, params, cfg)
     if lang.shape != (5, 64) or vis.shape != (8, 64) or cls.shape != (64,):
         ok = False
         detail.append("single-pair shapes")
@@ -239,7 +239,7 @@ def test_criterion_2_architecture_invariants():
         p = init_params(cfg, np.random.default_rng(seed))
         r = np.random.default_rng(10_000 + seed)
         row = random_row(r, int(r.integers(3, 13)))
-        lang, vis, cls, _ = model_forward(row.tokens, row.objects, p, cfg)
+        lang, vis, cls, _ = forward_one(row.tokens, row.objects, p, cfg)
         if not (np.isfinite(lang).all() and np.isfinite(vis).all() and np.isfinite(cls).all()):
             bad += 1
     if bad:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -150,3 +151,19 @@ def test_resume_flag(data_dir, run_dir, tmp_path):
                  "--resume", str(run_dir / "checkpoint-epoch-1.ckpt")])
     assert code == 0
     assert os.path.exists(out / "checkpoint-final.ckpt")
+
+
+@pytest.mark.parametrize("cut", [
+    pytest.param(lambda size: 10, id="header"),
+    pytest.param(lambda size: 30, id="image-id"),
+    pytest.param(lambda size: size // 2, id="block"),
+])
+def test_truncated_feature_store_is_data_error(data_dir, run_dir, tmp_path, capsys, cut):
+    bad = tmp_path / "data"
+    shutil.copytree(data_dir, bad)
+    raw = (bad / "features.bin").read_bytes()
+    (bad / "features.bin").write_bytes(raw[:cut(len(raw))])
+    code = main(["evaluate", "--data", str(bad),
+                 "--checkpoint", str(run_dir / "checkpoint-final.ckpt")])
+    assert code == 3
+    assert "error[data]" in capsys.readouterr().err

@@ -4,6 +4,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from crossmodal.config import MaskingConfig, ModelConfig
 from crossmodal.data import (
@@ -63,6 +64,27 @@ def test_tokenize_truncates_to_max_len():
     assert seq.n == 10
     assert seq.token_ids[0] == vocab.cls_id
     assert seq.token_ids[-1] == vocab.sep_id
+
+
+@settings(max_examples=300, deadline=None)
+@given(sentence=st.text(max_size=60), max_len=st.integers(0, 24), use_sep=st.booleans())
+@example(sentence="a b c", max_len=1, use_sep=True)
+def test_tokenize_length_and_markers(sentence, max_len, use_sep):
+    vocab = Vocabulary(["a", "b", "c", "cat"])
+    if max_len < 1 + use_sep:
+        with pytest.raises(ValueError, match="max_len"):
+            tokenize(sentence, vocab, max_len, use_sep)
+        return
+    ids = tokenize(sentence, vocab, max_len, use_sep).token_ids
+    assert len(ids) <= max_len
+    assert ids[0] == vocab.cls_id
+    assert (ids[-1] == vocab.sep_id) == use_sep
+
+
+def test_config_rejects_sentence_length_without_room_for_sep():
+    with pytest.raises(ValueError, match="max_sentence_len"):
+        ModelConfig(max_sentence_len=1).validate()
+    ModelConfig(max_sentence_len=1, use_sep=False).validate()
 
 
 def test_split_words_lowercases_and_separates():

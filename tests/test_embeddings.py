@@ -63,7 +63,7 @@ def test_equal_features_different_boxes_differ():
     rng = np.random.default_rng(5)
     feats, boxes = _random_objects(rng, m=2)
     feats[1] = feats[0]
-    out = embed_objects(feats, boxes, None, params, CFG).data[0]
+    out = embed_objects(feats[None], boxes[None], None, params, CFG).data[0]
     assert not np.allclose(out[0], out[1])
 
 
@@ -72,7 +72,7 @@ def test_masked_object_uses_zeroed_feature_branch():
     rng = np.random.default_rng(6)
     feats, boxes = _random_objects(rng, m=3)
     mask = np.array([False, True, False])
-    out = embed_objects(feats, boxes, mask, params, CFG).data[0]
+    out = embed_objects(feats[None], boxes[None], mask[None], params, CFG).data[0]
 
     # expected: feature branch sees a zero vector, box branch is untouched
     def ln(x, g, b):
@@ -90,7 +90,7 @@ def test_average_of_independently_computed_branches():
     params = make_params(7)
     rng = np.random.default_rng(8)
     feats, boxes = _random_objects(rng, m=5)
-    out = embed_objects(feats, boxes, None, params, CFG).data[0]
+    out = embed_objects(feats[None], boxes[None], None, params, CFG).data[0]
 
     def ln_rows(x, g, b):
         mu = x.mean(axis=-1, keepdims=True)
@@ -108,9 +108,9 @@ def test_object_embedding_permutation_equivariant():
     params = make_params(9)
     rng = np.random.default_rng(10)
     feats, boxes = _random_objects(rng, m=6)
-    out = embed_objects(feats, boxes, None, params, CFG).data[0]
+    out = embed_objects(feats[None], boxes[None], None, params, CFG).data[0]
     perm = rng.permutation(6)
-    out_p = embed_objects(feats[perm], boxes[perm], None, params, CFG).data[0]
+    out_p = embed_objects(feats[perm][None], boxes[perm][None], None, params, CFG).data[0]
     assert np.allclose(out[perm], out_p, atol=1e-6)
 
 
@@ -131,7 +131,7 @@ def test_per_branch_normalization_balances_scales():
     fhat = (fproj - mu) / np.sqrt(var + CFG.ln_eps)
     assert np.abs(fhat.var(axis=-1) - 1.0).max() < 1e-3
 
-    out = embed_objects(feats, boxes, None, params, CFG).data[0]
+    out = embed_objects(feats[None], boxes[None], None, params, CFG).data[0]
     assert np.isfinite(out).all()
     assert np.abs(out).max() < 10.0
 
@@ -142,4 +142,4 @@ def test_feature_width_mismatch_errors():
     feats = rng.normal(size=(4, CFG.feat_dim + 1)).astype(np.float32)
     boxes = np.zeros((4, 4), dtype=np.float32)
     with pytest.raises(ValueError, match="width"):
-        embed_objects(feats, boxes, None, params, CFG)
+        embed_objects(feats[None], boxes[None], None, params, CFG)

@@ -11,12 +11,12 @@ from crossmodal.encoders import (
     Runtime,
     cross_modality_layer,
     forward_batch,
-    model_forward,
     multi_head_attention,
     single_modality_layer,
 )
 from crossmodal.params import init_params, parameter_layout
 from crossmodal.tensor import Tape, Tensor, backward, tensor, tsum
+from helpers import forward_one
 
 CFG = ModelConfig(vocab_size=23, num_labels=5, num_answers=4, dropout=0.0).validate()
 RT = Runtime()
@@ -216,7 +216,7 @@ def test_model_forward_desk_shapes():
     params = make_params(22)
     rng = np.random.default_rng(23)
     seq, objects = _inputs(rng, n=6)
-    lang, vis, cls, records = model_forward(seq, objects, params, CFG)
+    lang, vis, cls, records = forward_one(seq, objects, params, CFG)
     assert lang.shape == (6, 64)
     assert vis.shape == (8, 64)
     assert cls.shape == (64,)
@@ -238,7 +238,7 @@ def test_attention_record_grouping():
     params = make_params(24)
     rng = np.random.default_rng(25)
     seq, objects = _inputs(rng)
-    _, _, _, records = model_forward(seq, objects, params, CFG)
+    _, _, _, records = forward_one(seq, objects, params, CFG)
     lang_groups = [r for r in records if r.encoder == "language"]
     vis_groups = [r for r in records if r.encoder == "object"]
     cross_groups = [r for r in records if r.encoder == "cross"]
@@ -275,7 +275,7 @@ def test_forward_deterministic_under_seed():
         params = make_params(28)
         rng = np.random.default_rng(29)
         seq, objects = _inputs(rng)
-        lang, vis, cls, _ = model_forward(seq, objects, params, CFG)
+        lang, vis, cls, _ = forward_one(seq, objects, params, CFG)
         return lang.tobytes() + vis.tobytes() + cls.tobytes()
 
     assert run() == run()
@@ -286,7 +286,7 @@ def test_forward_finite_over_random_seeds():
         params = make_params(seed)
         rng = np.random.default_rng(1000 + seed)
         seq, objects = _inputs(rng)
-        lang, vis, cls, _ = model_forward(seq, objects, params, CFG)
+        lang, vis, cls, _ = forward_one(seq, objects, params, CFG)
         assert np.isfinite(lang).all() and np.isfinite(vis).all() and np.isfinite(cls).all()
 
 

@@ -95,13 +95,31 @@ def test_phase1_leaves_qa_head_at_initialization(tmp_path):
                               fresh.params["head.match.w"].data)
 
 
-def test_fixed_seed_runs_produce_identical_logs(tmp_path):
-    bundle = small_bundle()
-    cfg = tiny_run_cfg(epochs=2)
-    r1 = run_pretraining(bundle, cfg, seed=3, out_dir=tmp_path / "a")
-    r2 = run_pretraining(bundle, cfg, seed=3, out_dir=tmp_path / "b")
-    assert strip_wall_time(read_metrics(r1.metrics_path)) == \
-        strip_wall_time(read_metrics(r2.metrics_path))
+PRETRAIN_FIELDS = ["step", "lr", "mlm", "obj_feat", "obj_label", "match", "qa", "total",
+                   "wall_time"]
+FINETUNE_FIELDS = ["step", "lr", "loss", "wall_time"]
+
+
+def _seeded_run(task, bundle, seed, out_dir):
+    if task == "pretrain":
+        return run_pretraining(bundle, tiny_run_cfg(epochs=2), seed=seed, out_dir=out_dir)
+    ckpt = make_initial_checkpoint(tiny_run_cfg(), bundle, seed=seed)
+    cfg = tiny_run_cfg()
+    cfg.finetune = FinetuneConfig(lr=1e-3, batch_size=16, epochs=2)
+    run = run_finetune_qa if task == "qa" else run_finetune_pairwise
+    return run(ckpt, bundle, cfg, seed=seed, out_dir=out_dir)
+
+
+@pytest.mark.parametrize("task", ["pretrain", "qa", "pairwise"])
+def test_fixed_seed_runs_produce_identical_logs(tmp_path, task):
+    bundle = small_bundle(pairs=32)
+    r1 = _seeded_run(task, bundle, 3, tmp_path / "a")
+    r2 = _seeded_run(task, bundle, 3, tmp_path / "b")
+    lines = read_metrics(r1.metrics_path)
+    assert strip_wall_time(lines) == strip_wall_time(read_metrics(r2.metrics_path))
+    # keys and their order as in docs/formats.md
+    fields = PRETRAIN_FIELDS if task == "pretrain" else FINETUNE_FIELDS
+    assert lines and all(list(line) == fields for line in lines)
     c1 = load_checkpoint(r1.final_checkpoint)
     c2 = load_checkpoint(r2.final_checkpoint)
     for name in c1.params:
