@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import ModelConfig
-from .tensor import Tensor, embedding_lookup, layer_norm, matmul, tensor
+from .tensor import Tensor, embedding_lookup, layer_norm, linear, tensor
 
 
 def embed_words(token_ids: np.ndarray, params: dict[str, Tensor], cfg: ModelConfig) -> Tensor:
@@ -46,8 +46,8 @@ def embed_objects(
         feats = feats * keep
     f = tensor(feats)
     p = tensor(boxes)
-    fh = layer_norm(matmul(f, fw) + params["emb.feat_b"],
+    fh = layer_norm(linear(f, fw, params["emb.feat_b"]),
                     params["emb.feat_ln.g"], params["emb.feat_ln.b"], cfg.ln_eps)
-    ph = layer_norm(matmul(p, params["emb.box_w"]) + params["emb.box_b"],
+    ph = layer_norm(linear(p, params["emb.box_w"], params["emb.box_b"]),
                     params["emb.box_ln.g"], params["emb.box_ln.b"], cfg.ln_eps)
     return (fh + ph) * 0.5

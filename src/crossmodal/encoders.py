@@ -22,6 +22,7 @@ from .tensor import (
     dropout,
     gelu,
     layer_norm,
+    linear,
     matmul,
     softmax,
 )
@@ -81,9 +82,12 @@ def multi_head_attention(
     def heads_of(x, n):
         return x.reshape((b, n, h, dk)).transpose((0, 2, 1, 3))
 
-    qh = heads_of(matmul(query_seq, params[f"{prefix}.wq"]) + params[f"{prefix}.bq"], q)
-    kh = heads_of(matmul(context_seq, params[f"{prefix}.wk"]) + params[f"{prefix}.bk"], c)
-    vh = heads_of(matmul(context_seq, params[f"{prefix}.wv"]) + params[f"{prefix}.bv"], c)
+    def project(x, name):
+        return linear(x, params[f"{prefix}.w{name}"], params[f"{prefix}.b{name}"])
+
+    qh = heads_of(project(query_seq, "q"), q)
+    kh = heads_of(project(context_seq, "k"), c)
+    vh = heads_of(project(context_seq, "v"), c)
 
     scores = matmul(qh, kh.transpose((0, 1, 3, 2))) * (1.0 / math.sqrt(dk))
     mask = None
@@ -93,7 +97,7 @@ def multi_head_attention(
     weights = alpha.data
     alpha = dropout(alpha, cfg.dropout, rt.rng, rt.training)
     mixed = matmul(alpha, vh).transpose((0, 2, 1, 3)).reshape((b, q, d))
-    out = matmul(mixed, params[f"{prefix}.wo"]) + params[f"{prefix}.bo"]
+    out = project(mixed, "o")
     return out, weights
 
 
@@ -106,8 +110,8 @@ def _sublayer(x: Tensor, sub_out: Tensor, params, prefix: str, cfg: ModelConfig,
 
 
 def _feed_forward(x: Tensor, params, prefix: str) -> Tensor:
-    inner = gelu(matmul(x, params[f"{prefix}.w1"]) + params[f"{prefix}.b1"])
-    return matmul(inner, params[f"{prefix}.w2"]) + params[f"{prefix}.b2"]
+    inner = gelu(linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]))
+    return linear(inner, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
 
 
 def single_modality_layer(

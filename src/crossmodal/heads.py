@@ -20,8 +20,8 @@ from .tensor import (
     concat,
     gelu,
     layer_norm,
+    linear,
     log_softmax,
-    matmul,
     sigmoid,
     softplus,
     take_rows,
@@ -65,7 +65,7 @@ def _zero_loss(like: Tensor) -> Tensor:
 def head_logits(x: Tensor, params: dict[str, Tensor], head: str) -> Tensor:
     """``x @ W + b`` for the named output head: ``head.match``, ``head.qa``,
     ``head.obj_feat`` or ``head.obj_label``. The losses and evaluation share it."""
-    return matmul(x, params[f"{head}.w"]) + params[f"{head}.b"]
+    return linear(x, params[f"{head}.w"], params[f"{head}.b"])
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -87,7 +87,7 @@ def masked_lm_loss(lang_out: Tensor, mlm_targets: np.ndarray,
         raise IndexError(f"mlm target id {picked.max()} out of vocabulary [0, {vocab})")
     b, n, d = lang_out.shape
     rows = lang_out.reshape((b * n, d))[mask.reshape(-1)]
-    logits = matmul(rows, transpose(params["emb.word"], (1, 0))) + params["head.mlm_bias"]
+    logits = linear(rows, transpose(params["emb.word"], (1, 0)), params["head.mlm_bias"])
     return cross_entropy(logits, picked), count
 
 
@@ -200,9 +200,9 @@ def pairwise_logit(cls_0: Tensor, cls_1: Tensor, params: dict[str, Tensor],
             f"pairwise head expects width {w0.shape[0] // 2}, got {cls_0.shape[-1]}"
         )
     joint = concat([cls_0, cls_1], axis=-1)
-    z0 = matmul(joint, w0) + params["pair.b0"]
+    z0 = linear(joint, w0, params["pair.b0"])
     z1 = layer_norm(gelu(z0), params["pair.ln.g"], params["pair.ln.b"], ln_eps)
-    logit = matmul(z1, params["pair.w1"]) + params["pair.b1"]
+    logit = linear(z1, params["pair.w1"], params["pair.b1"])
     return logit.reshape((logit.shape[0],))
 
 

@@ -5,6 +5,19 @@ Forward passes record primitive applications on the active ``Tape``;
 gradients into every tensor that requires them. A tape is a single-use
 object: open one per forward pass, run backward once, discard it.
 
+Every ``x @ W + b`` projection goes through ``linear``: one record, and a
+backward of three 2-D GEMM-shaped products over the flattened rows.
+``matmul`` is left for products of two activations (attention scores and
+mixing).
+
+Gradient ownership: a leaf (a tensor no record produced, i.e. a parameter)
+owns its ``grad`` array. ``backward`` adds into the buffer ``zero_grads``
+gave it, in place, or stores a copy of its first gradient, so scaling a
+leaf's gradient in place (as ``clip_gradients`` does) never reaches another
+tensor. An intermediate takes its first gradient by reference -- it may be
+another tensor's gradient or a view of one -- and any later gradient is
+added out of place, so no shared array is ever written.
+
 Two numeric modes are supported: float32 (training default) and float64
 (used by gradient-check tests, where finite differences need the extra
 precision). Switch with the ``using_dtype`` context manager.
@@ -179,7 +192,8 @@ def backward(loss: Tensor) -> None:
 
     The loss must be scalar. The sweep visits the recording tape once in
     reverse order and clears it afterwards; the gradient of the loss with
-    respect to itself is 1.
+    respect to itself is 1. Gradients follow the ownership rule in the
+    module docstring.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.data.shape}")
@@ -194,9 +208,15 @@ def backward(loss: Tensor) -> None:
         for t, g in zip(inputs, grads):
             if g is None or not t.requires_grad:
                 continue
-            if t.grad is None:
-                t.grad = np.zeros_like(t.data)
-            t.grad += g
+            if t._tape is None:  # leaf: owns its buffer
+                if t.grad is None:
+                    t.grad = np.array(g, dtype=t.data.dtype)
+                else:
+                    t.grad += g
+            elif t.grad is None:
+                t.grad = g
+            else:
+                t.grad = t.grad + g
     tape.records.clear()
 
 
@@ -286,6 +306,36 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return ga, gb
 
     return _apply(out, (a, b), rule)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` for (..., d_in) rows, a (d_in, d_out) weight and a (d_out,) bias.
+
+    The leading axes are flattened so forward and backward are 2-D GEMMs:
+    dX = dY W^T, dW = X^T dY, db = sum of dY over rows. Each is computed
+    only for an input that requires a gradient.
+    """
+    x = _as_tensor(x)
+    w = _as_tensor(w)
+    b = _as_tensor(b, like=x.data)
+    d_in, d_out = w.data.shape
+    if x.data.shape[-1] != d_in or b.data.shape != (d_out,):
+        raise ValueError(
+            f"linear shapes disagree: x {x.data.shape}, w {w.data.shape}, b {b.data.shape}"
+        )
+    x2, wd = x.data.reshape(-1, d_in), w.data
+    out = x2 @ wd
+    out += b.data
+    shape = x.data.shape
+
+    def rule(g):
+        g2 = g.reshape(-1, d_out)
+        gx = (g2 @ wd.T).reshape(shape) if x.requires_grad else None
+        gw = x2.T @ g2 if w.requires_grad else None
+        gb = g2.sum(axis=0) if b.requires_grad else None
+        return gx, gw, gb
+
+    return _apply(out.reshape(shape[:-1] + (d_out,)), (x, w, b), rule)
 
 
 def reshape(t: Tensor, shape) -> Tensor:
@@ -489,12 +539,14 @@ def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit, tanh approximation."""
     x = _as_tensor(x)
     xd = x.data
-    inner = _GELU_C * (xd + _GELU_A * xd**3)
+    # x*x*x, not x**3: float32 ** goes through numpy's generic power loop
+    x2 = xd * xd
+    inner = _GELU_C * (xd + _GELU_A * (x2 * xd))
     t = np.tanh(inner)
     out = 0.5 * xd * (1.0 + t)
 
     def rule(g):
-        dinner = _GELU_C * (1.0 + 3.0 * _GELU_A * xd**2)
+        dinner = _GELU_C * (1.0 + 3.0 * _GELU_A * x2)
         return (g * (0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t**2) * dinner),)
 
     return _apply(out, (x,), rule)

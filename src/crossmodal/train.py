@@ -222,8 +222,12 @@ def run_pretraining(bundle: DataBundle, run_cfg: RunConfig, seed: int, out_dir,
         opt = ckpt.opt_state
         if opt is None:
             raise ValueError("resume checkpoint has no optimizer state")
+        if "epoch" not in ckpt.extra or "finetuned" in ckpt.extra:
+            raise ValueError(
+                f"{resume} is not a pre-training checkpoint (no epoch, or fine-tuned); "
+                "resume from a checkpoint-epoch-N or checkpoint-final file of pretrain")
         train_rng = _restore_rng(ckpt.rng_state)
-        resume_epoch = int(ckpt.extra.get("epoch", 0))
+        resume_epoch = int(ckpt.extra["epoch"])
     else:
         seeds = np.random.SeedSequence(seed).spawn(2)
         init_rng = np.random.default_rng(seeds[0])
@@ -316,7 +320,12 @@ def _qa_accuracy(params: dict[str, Tensor], cfg: ModelConfig, bundle: DataBundle
 def evaluate_checkpoint(ckpt: Checkpoint, bundle: DataBundle, seed: int,
                         batch_size: int = 32,
                         masking: MaskingConfig | None = None) -> dict:
-    """Held-out metrics: matching accuracy, masked-label accuracy, QA accuracy."""
+    """Held-out metrics: matching accuracy, masked-label accuracy, QA accuracy.
+
+    The matching pass needs at least two distinct images to draw mismatched
+    rows from; on a split with fewer it is skipped (``match_n`` 0,
+    ``match_accuracy`` NaN) and the other two passes still run.
+    """
     cfg = ckpt.config
     if len(bundle.vocab) != cfg.vocab_size:
         raise ValueError(
@@ -332,14 +341,15 @@ def evaluate_checkpoint(ckpt: Checkpoint, bundle: DataBundle, seed: int,
     # matching: mismatch half the rows, nothing else perturbed
     match_cfg = MaskingConfig(word_mask_prob=0.0, object_mask_prob=0.0,
                               mismatch_prob=masking.mismatch_prob or 0.5)
-    maker = BatchMaker(dev, bundle.store, bundle.vocab, table, match_cfg, cfg)
     match_hits = match_total = 0
-    for chunk in _batched(dev, batch_size):
-        packed = collate(maker.make_batch(chunk, rng), bundle.vocab)
-        out = forward_batch(packed, params, cfg)
-        logits = head_logits(out.cls, params, "head.match").data
-        match_hits += int((logits.argmax(axis=1) == packed.match_labels).sum())
-        match_total += packed.size
+    if len({r.image_id for r in dev}) >= 2:
+        maker = BatchMaker(dev, bundle.store, bundle.vocab, table, match_cfg, cfg)
+        for chunk in _batched(dev, batch_size):
+            packed = collate(maker.make_batch(chunk, rng), bundle.vocab)
+            out = forward_batch(packed, params, cfg)
+            logits = head_logits(out.cls, params, "head.match").data
+            match_hits += int((logits.argmax(axis=1) == packed.match_labels).sum())
+            match_total += packed.size
 
     # masked detected-label accuracy
     label_cfg = MaskingConfig(word_mask_prob=0.0, mismatch_prob=0.0,

@@ -167,3 +167,49 @@ def test_truncated_feature_store_is_data_error(data_dir, run_dir, tmp_path, caps
                  "--checkpoint", str(run_dir / "checkpoint-final.ckpt")])
     assert code == 3
     assert "error[data]" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def one_image_dev(tmp_path_factory):
+    """A 10-image corpus, whose dev split holds one image, and a 1-epoch pre-training run."""
+    data = tmp_path_factory.mktemp("data10")
+    assert main(["gen-data", "--out", str(data), "--images", "10", "--pairs", "0",
+                 "--seed", "0"]) == 0
+    run = tmp_path_factory.mktemp("run10")
+    cfg_path = run / "config.json"
+    cfg_path.write_text(json.dumps({"schedule": {"epochs": 1, "batch_size": 8}}))
+    assert main(["pretrain", "--data", str(data), "--config", str(cfg_path),
+                 "--seed", "1", "--out", str(run)]) == 0
+    return data, run
+
+
+def test_evaluate_skips_matching_on_one_image_dev_split(one_image_dev, capsys):
+    data, run = one_image_dev
+    dev_images = {json.loads(line)["image_id"]
+                  for line in (data / "corpus.jsonl").read_text().splitlines()
+                  if json.loads(line)["split"] == "dev"}
+    assert len(dev_images) == 1
+    code = main(["evaluate", "--data", str(data),
+                 "--checkpoint", str(run / "checkpoint-final.ckpt")])
+    assert code == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert printed["match_n"] == 0
+    assert np.isnan(printed["match_accuracy"])
+    assert printed["masked_label_n"] > 0
+    assert printed["qa_n"] > 0
+
+
+def test_resume_from_finetuned_checkpoint_is_config_error(one_image_dev, tmp_path, capsys):
+    data, run = one_image_dev
+    ft = tmp_path / "ft"
+    assert main(["finetune", "--task", "qa", "--data", str(data),
+                 "--checkpoint", str(run / "checkpoint-final.ckpt"),
+                 "--epochs", "1", "--seed", "2", "--out", str(ft)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "resumed"
+    code = main(["pretrain", "--data", str(data), "--config", str(run / "config.json"),
+                 "--seed", "1", "--out", str(out),
+                 "--resume", str(ft / "checkpoint-final.ckpt")])
+    assert code == 2
+    assert "not a pre-training checkpoint" in capsys.readouterr().err
+    assert not os.path.exists(out / "metrics.jsonl")

@@ -4,6 +4,9 @@ All gradient checks run in float64 with central differences (h=1e-5) and a
 1e-4 relative tolerance where the analytic gradient is significant.
 """
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,7 @@ from crossmodal.tensor import (
     gelu,
     getitem,
     layer_norm,
+    linear,
     log_softmax,
     matmul,
     sigmoid,
@@ -28,6 +32,7 @@ from crossmodal.tensor import (
     transpose,
     tsum,
     using_dtype,
+    zero_grads,
 )
 
 from helpers import gradcheck, numeric_grad, assert_grads_close
@@ -71,6 +76,43 @@ def test_matmul_batched_gradcheck():
         a = f64(rng.normal(size=(2, 3, 4)))
         b = f64(rng.normal(size=(4, 5)))  # broadcast over the batch axis
         gradcheck(lambda: tsum(matmul(a, b) * matmul(a, b)), {"a": a, "b": b})
+
+
+# ---------------------------------------------------------------------------
+# linear
+
+
+@pytest.mark.parametrize("x_shape", [(3, 4), (2, 3, 4)], ids=["2d", "3d"])
+@pytest.mark.parametrize("tracked", [t for t in itertools.product((True, False), repeat=3)
+                                     if any(t)],
+                         ids=lambda t: "".join("xwb"[i] for i in range(3) if t[i]))
+def test_linear_gradcheck(x_shape, tracked):
+    rng = np.random.default_rng(2)
+    with using_dtype(np.float64):
+        x, w, b = (f64(rng.normal(size=shape), requires_grad=flag)
+                   for shape, flag in zip((x_shape, (4, 5), (5,)), tracked))
+        leaves = {name: t for name, t in zip("xwb", (x, w, b)) if t.requires_grad}
+        gradcheck(lambda: tsum(linear(x, w, b) * linear(x, w, b)), leaves)
+        for t in (x, w, b):
+            if not t.requires_grad:
+                assert t.grad is None
+
+
+@pytest.mark.parametrize("x_shape", [(3, 4), (2, 3, 4)], ids=["2d", "3d"])
+def test_linear_equals_matmul_plus_bias(x_shape):
+    rng = np.random.default_rng(3)
+    with using_dtype(np.float64):
+        x = f64(rng.normal(size=x_shape), requires_grad=False)
+        w = f64(rng.normal(size=(4, 5)), requires_grad=False)
+        b = f64(rng.normal(size=(5,)), requires_grad=False)
+        out = linear(x, w, b).data
+        assert out.shape == x_shape[:-1] + (5,)
+        assert np.abs(out - (matmul(x, w) + b).data).max() < 1e-12
+
+
+def test_linear_shape_error_names_shapes():
+    with pytest.raises(ValueError, match=r"\(2, 3\).*\(4, 5\).*\(5,\)"):
+        linear(tensor(np.zeros((2, 3))), tensor(np.zeros((4, 5))), tensor(np.zeros(5)))
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +226,21 @@ def test_gelu_gradcheck():
     with using_dtype(np.float64):
         x = f64([-3.0, -1.0, 0.0, 1.0, 3.0])
         gradcheck(lambda: tsum(gelu(x)), {"x": x})
+
+
+def test_gelu_matches_cube_power_formula():
+    c, a = math.sqrt(2.0 / math.pi), 0.044715
+    xd = np.random.default_rng(4).normal(0.0, 2.0, size=(6, 7))
+    t = np.tanh(c * (xd + a * xd**3))
+    want = 0.5 * xd * (1.0 + t)
+    want_grad = 0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t**2) * c * (1.0 + 3.0 * a * xd**2)
+    with using_dtype(np.float64):
+        x = f64(xd)
+        with Tape():
+            y = gelu(x)
+            backward(tsum(y))
+    assert np.abs(y.data - want).max() < 1e-12
+    assert np.abs(x.grad - want_grad).max() < 1e-12
 
 
 def test_sigmoid_softplus_gradcheck():
@@ -368,6 +425,30 @@ def test_shared_subexpression_accumulates():
             backward(z)
         # d/dx (9x^2 + 3x) = 18x + 3 = 39
         assert np.allclose(x.grad, [39.0])
+
+
+def test_leaf_gradients_do_not_share_storage():
+    # add hands the same array to both inputs; scaling one leaf's
+    # gradient in place, as clipping does, must not reach the other
+    with using_dtype(np.float64):
+        a = f64([1.0, 2.0])
+        b = f64([3.0, 4.0])
+        with Tape():
+            backward(tsum(a + b))
+        a.grad *= 0.5
+        assert np.array_equal(a.grad, [0.5, 0.5])
+        assert np.array_equal(b.grad, [1.0, 1.0])
+
+
+def test_leaf_keeps_its_zero_grads_buffer():
+    with using_dtype(np.float64):
+        a = f64([1.0, -2.0])
+        zero_grads({"a": a})
+        buffer = a.grad
+        with Tape():
+            backward(tsum(a * a) + tsum(a))
+        assert a.grad is buffer
+        assert np.array_equal(buffer, [3.0, -3.0])
 
 
 def test_grad_not_populated_for_untracked_inputs():

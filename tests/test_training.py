@@ -10,12 +10,15 @@ from crossmodal.checkpoint import load_checkpoint
 from crossmodal.config import MaskingConfig, RunConfig, ScheduleConfig, FinetuneConfig
 from crossmodal.data import (
     DEFAULT_LABELS,
+    AnswerTable,
+    BatchMaker,
     Vocabulary,
+    collate,
     generate_pairwise_corpus,
     generate_synthetic_corpus,
 )
-from crossmodal.encoders import forward_batch
-from crossmodal.heads import pairwise_logit
+from crossmodal.encoders import Runtime, forward_batch
+from crossmodal.heads import pairwise_logit, pretrain_losses
 from crossmodal.tensor import Tape, backward, tsum, zero_grads
 from crossmodal.train import (
     DataBundle,
@@ -289,3 +292,30 @@ def test_dump_attention_structure(tmp_path):
     assert len(l2r["context_labels"]) == cfg.objects_per_image
     with open(out_path) as fh:
         assert json.load(fh)["image_id"] == dump["image_id"]
+
+
+def test_pretraining_step_records_every_projection_as_linear():
+    # a matmul plus a bias add per projection would give 457 records
+    bundle = small_bundle()
+    run_cfg = RunConfig()
+    ckpt = make_initial_checkpoint(run_cfg, bundle, seed=0)
+    cfg, params = ckpt.config, ckpt.params
+    train = bundle.split("train")
+    maker = BatchMaker(train, bundle.store, bundle.vocab, AnswerTable(ckpt.extra["answers"]),
+                       run_cfg.masking, cfg)
+    rng = np.random.default_rng(0)
+    packed = collate(maker.make_batch(train[:32], rng), bundle.vocab)
+    zero_grads(params)
+    with Tape() as tape:
+        out = forward_batch(packed, params, cfg, Runtime(training=True, rng=rng))
+        losses = pretrain_losses(packed, out, params, qa_enabled=True)
+        records = list(tape.records)
+        backward(losses.total)
+    assert losses.qa_count > 0
+    param_ids = {id(p) for p in params.values()}
+    matmuls = [inputs for _, inputs, rule in records
+               if rule.__qualname__.split(".")[0] == "matmul"]
+    assert matmuls
+    for inputs in matmuls:
+        assert not any(id(t) in param_ids for t in inputs)
+    assert len(records) < 457
