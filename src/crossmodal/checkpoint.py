@@ -152,7 +152,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 
 def _validate_layout(params: dict[str, np.ndarray], cfg: ModelConfig,
-                     heads: tuple[str, ...]) -> None:
+                     heads: tuple[str, ...]) -> dict[str, tuple[int, ...]]:
     layout = parameter_layout(cfg, heads)
     stored = set(params)
     expected = set(layout)
@@ -168,6 +168,7 @@ def _validate_layout(params: dict[str, np.ndarray], cfg: ModelConfig,
             raise CheckpointShapeError(
                 f"tensor {name!r} has shape {params[name].shape}, expected {layout[name]}"
             )
+    return layout
 
 
 def load_checkpoint(path, expected_config: ModelConfig | None = None) -> Checkpoint:
@@ -224,7 +225,9 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None) -> Checkpo
                     raise CheckpointFormatError(f"unexpected moment tensor {name!r}")
             opt_state = OptimizerState(m=m, v=v, **opt_meta)
 
-    _validate_layout(raw_params, expected_config or config, heads)
-    params = {name: Tensor(data, requires_grad=True) for name, data in raw_params.items()}
+    layout = _validate_layout(raw_params, expected_config or config, heads)
+    # in layout order, as init_params makes them, so a loaded model packs
+    # into the same flat buffers (optim) as a fresh one
+    params = {name: Tensor(raw_params[name], requires_grad=True) for name in layout}
     return Checkpoint(config=config, heads=heads, params=params,
                       opt_state=opt_state, rng_state=rng_state, extra=extra)

@@ -1,12 +1,26 @@
-"""Adam with bias correction, a linear warmup/decay schedule, and gradient clipping."""
+"""Adam with bias correction, a linear warmup/decay schedule, and gradient clipping.
+
+Flat layout: the parameters, their gradients and the Adam moments ``m`` and
+``v`` are each views into one contiguous buffer (``tensor.pack``), in the
+order of the parameter dict, so an update is a few whole-vector numpy ops
+over slices of ``_CHUNK`` elements. The functions still take any dict:
+parameters, gradients and moments that are not yet views of one buffer are
+packed once, by rebinding ``.data``, ``.grad`` or the moment entry to a
+view. A gradient dict handed to ``adam_step`` is only read, so arrays in it
+that are not the parameters' packed gradients are gathered into a copy.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Tensor, arena_of, pack
+
+# elements per slice of a whole-vector update: the scratch it needs stays small
+_CHUNK = 1 << 16
 
 
 def lr_at_step(step: int, peak: float, warmup_fraction: float, total_steps: int) -> float:
@@ -46,43 +60,113 @@ class OptimizerState:
              total_steps: int, beta1: float = 0.9, beta2: float = 0.999,
              eps: float = 1e-8) -> "OptimizerState":
         return cls(
-            m={k: np.zeros_like(p.data) for k, p in params.items()},
-            v={k: np.zeros_like(p.data) for k, p in params.items()},
+            m=_zero_moments(params), v=_zero_moments(params),
             beta1=beta1, beta2=beta2, eps=eps,
             peak_lr=peak_lr, warmup_fraction=warmup_fraction, total_steps=total_steps,
         )
+
+
+def _zero_moments(params: dict[str, Tensor]) -> dict[str, np.ndarray]:
+    buf, views = pack([p.data for p in params.values()], copy=False)
+    buf.fill(0)
+    return dict(zip(params, views))
+
+
+def _packed_data(tensors: list[Tensor]) -> np.ndarray:
+    buf = arena_of([p.data for p in tensors])
+    if buf is None:
+        buf, views = pack([p.data for p in tensors])
+        for p, view in zip(tensors, views):
+            p.data = view
+    return buf
+
+
+def _packed_grads(tensors: list[Tensor]) -> np.ndarray:
+    buf = arena_of([p.grad for p in tensors])
+    if buf is None:
+        buf, views = pack([p.grad for p in tensors])
+        for p, view in zip(tensors, views):
+            p.grad = view
+    return buf
+
+
+def _packed_moment(moments: dict[str, np.ndarray], names: list[str]) -> np.ndarray:
+    arrays = [moments[k] for k in names]
+    buf = arena_of(arrays)
+    if buf is None:
+        buf, views = pack(arrays)
+        moments.update(zip(names, views))
+    return buf
+
+
+def _gathered_grads(params: dict[str, Tensor], grads: dict[str, np.ndarray | None]) -> np.ndarray:
+    arrays = [grads.get(k) for k in params]
+    buf = arena_of(arrays)
+    if buf is not None:
+        return buf
+    for (name, p), g in zip(params.items(), arrays):
+        if g is None:
+            raise ValueError(f"parameter {name!r} has no gradient")
+        if np.shape(g) != p.data.shape:
+            raise ValueError(f"gradient of {name!r} has shape {np.shape(g)}, "
+                             f"parameter has {p.data.shape}")
+    return np.concatenate([np.ravel(g) for g in arrays])
 
 
 def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray | None],
               state: OptimizerState, lr: float) -> None:
     """One bias-corrected Adam update, in place. Deterministic given inputs."""
     state.step += 1
+    if not params:
+        return
     t = state.step
     c1 = 1.0 - state.beta1**t
     c2 = 1.0 - state.beta2**t
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            raise ValueError(f"parameter {name!r} has no gradient")
-        m = state.m[name]
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    b1, b2, eps = state.beta1, state.beta2, state.eps
+    g = _gathered_grads(params, grads)
+    names = list(params)
+    p = _packed_data(list(params.values()))
+    m = _packed_moment(state.m, names)
+    v = _packed_moment(state.v, names)
+    scratch = np.empty((2, min(p.size, _CHUNK)), dtype=np.result_type(m, g))
+    for lo in range(0, p.size, _CHUNK):
+        pc, gc, mc, vc = (a[lo:lo + _CHUNK] for a in (p, g, m, v))
+        t1, t2 = scratch[:, :pc.size]
+        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
+        mc *= b1
+        np.multiply(gc, 1.0 - b1, out=t1)
+        mc += t1
+        vc *= b2
+        np.multiply(gc, gc, out=t1)
+        t1 *= 1.0 - b2
+        vc += t1
+        # p -= lr (m / c1) / (sqrt(v / c2) + eps)
+        np.divide(mc, c1, out=t1)
+        t1 *= lr
+        np.divide(vc, c2, out=t2)
+        np.sqrt(t2, out=t2)
+        t2 += eps
+        t1 /= t2
+        pc -= t1
 
 
 def clip_gradients(params: dict[str, Tensor], max_norm: float | None) -> float:
-    """Scale all gradients so their global L2 norm is at most ``max_norm``."""
+    """Scale all gradients so their global L2 norm is at most ``max_norm``.
+
+    Returns the norm before clipping, summed in float64 one slice at a time.
+    """
+    tensors = [p for p in params.values() if p.grad is not None]
+    if not tensors:
+        return 0.0
+    g = _packed_grads(tensors)
+    scratch = np.empty(min(g.size, _CHUNK), dtype=np.float64)
     total = 0.0
-    for p in params.values():
-        if p.grad is not None:
-            total += float((p.grad.astype(np.float64) ** 2).sum())
-    norm = float(np.sqrt(total))
+    for lo in range(0, g.size, _CHUNK):
+        gc = g[lo:lo + _CHUNK]
+        g64 = scratch[:gc.size]
+        np.copyto(g64, gc)
+        total += float(np.dot(g64, g64))
+    norm = math.sqrt(total)
     if max_norm is not None and norm > max_norm and norm > 0:
-        scale = max_norm / norm
-        for p in params.values():
-            if p.grad is not None:
-                p.grad *= scale
+        g *= max_norm / norm
     return norm

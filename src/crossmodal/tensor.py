@@ -11,12 +11,15 @@ backward of three 2-D GEMM-shaped products over the flattened rows.
 mixing).
 
 Gradient ownership: a leaf (a tensor no record produced, i.e. a parameter)
-owns its ``grad`` array. ``backward`` adds into the buffer ``zero_grads``
-gave it, in place, or stores a copy of its first gradient, so scaling a
-leaf's gradient in place (as ``clip_gradients`` does) never reaches another
-tensor. An intermediate takes its first gradient by reference -- it may be
-another tensor's gradient or a view of one -- and any later gradient is
-added out of place, so no shared array is ever written.
+owns its ``grad`` array. ``zero_grads`` makes every leaf's gradient a view
+into one flat arena buffer (``pack``), laid out in the parameter dict's
+order; ``backward`` adds into that view in place, or stores a copy of a
+first gradient when there is no view, so scaling a leaf's gradient in place
+(as ``clip_gradients`` does, on the whole arena at once) never reaches
+another tensor. An intermediate takes its first gradient by reference -- it
+may be another tensor's gradient or a view of one -- and any later gradient
+is added out of place, so no shared array is ever written, and no backward
+rule writes into the gradient it receives.
 
 Two numeric modes are supported: float32 (training default) and float64
 (used by gradient-check tests, where finite differences need the extra
@@ -26,6 +29,7 @@ precision). Switch with the ``using_dtype`` context manager.
 from __future__ import annotations
 
 import math
+import weakref
 from contextlib import contextmanager
 
 import numpy as np
@@ -81,9 +85,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def zero_grad(self):
-        self.grad = np.zeros_like(self.data)
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -621,6 +622,56 @@ def cast(t: Tensor, dtype) -> Tensor:
     return _apply(out, (t,), rule)
 
 
+# ---------------------------------------------------------------------------
+# flat arena
+
+# id of an arena buffer -> ids of its views, in order; an entry lives as long
+# as its buffer
+_ARENA_VIEWS: dict[int, tuple[int, ...]] = {}
+
+
+def arena_of(arrays: list) -> np.ndarray | None:
+    """The buffer ``arrays`` are the consecutive views of, in order, or None.
+
+    Only buffers made by ``pack`` count, and only with exactly the views it
+    made, in the order it made them.
+    """
+    base = getattr(arrays[0], "base", None) if arrays else None
+    if base is None or _ARENA_VIEWS.get(id(base)) != tuple(map(id, arrays)):
+        return None
+    return base
+
+
+def pack(arrays: list[np.ndarray], copy: bool = True) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One new 1-D buffer and its consecutive views, shaped like ``arrays``.
+
+    The views hold copies of ``arrays`` (left uninitialized with ``copy``
+    false). All arrays must share one dtype.
+    """
+    dtype = arrays[0].dtype
+    if any(a.dtype != dtype for a in arrays):
+        raise ValueError(f"cannot pack mixed dtypes {sorted({str(a.dtype) for a in arrays})}")
+    buf = np.empty(sum(a.size for a in arrays), dtype=dtype)
+    views, offset = [], 0
+    for a in arrays:
+        view = buf[offset:offset + a.size].reshape(a.shape)
+        if copy:
+            view[...] = a
+        views.append(view)
+        offset += a.size
+    _ARENA_VIEWS[id(buf)] = tuple(map(id, views))
+    weakref.finalize(buf, _ARENA_VIEWS.pop, id(buf), None)
+    return buf, views
+
+
 def zero_grads(params: dict[str, Tensor]) -> None:
-    for p in params.values():
-        p.zero_grad()
+    """Zero every gradient; the gradients become views of one arena buffer."""
+    tensors = list(params.values())
+    if not tensors:
+        return
+    buf = arena_of([p.grad for p in tensors])
+    if buf is None:
+        buf, views = pack([p.data for p in tensors], copy=False)
+        for p, view in zip(tensors, views):
+            p.grad = view
+    buf.fill(0)
