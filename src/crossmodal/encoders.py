@@ -9,7 +9,6 @@ Both cross-attention directions read the same previous-layer inputs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,15 +16,7 @@ import numpy as np
 from .config import ModelConfig
 from .data import PackedBatch
 from .embeddings import embed_objects, embed_words
-from .tensor import (
-    Tensor,
-    dropout,
-    gelu,
-    layer_norm,
-    linear,
-    matmul,
-    softmax,
-)
+from .tensor import Tensor, attention, dropout, gelu, layer_norm, linear
 
 
 @dataclass
@@ -64,7 +55,8 @@ def multi_head_attention(
     cfg: ModelConfig,
     rt: Runtime,
 ) -> tuple[Tensor, np.ndarray]:
-    """Scaled dot-product attention with ``cfg.num_heads`` heads.
+    """Scaled dot-product attention with ``cfg.num_heads`` heads (``tensor.attention``)
+    and the output projection.
 
     Returns the output features and the softmax weights (pre-dropout) for
     the attention-dump interface.
@@ -74,31 +66,11 @@ def multi_head_attention(
         raise ValueError(
             f"attention width mismatch: query {query_seq.shape}, context {context_seq.shape}, hidden {d}"
         )
-    h = cfg.num_heads
-    dk = cfg.head_dim
-    b, q, _ = query_seq.shape
-    c = context_seq.shape[1]
-
-    def heads_of(x, n):
-        return x.reshape((b, n, h, dk)).transpose((0, 2, 1, 3))
-
-    def project(x, name):
-        return linear(x, params[f"{prefix}.w{name}"], params[f"{prefix}.b{name}"])
-
-    qh = heads_of(project(query_seq, "q"), q)
-    kh = heads_of(project(context_seq, "k"), c)
-    vh = heads_of(project(context_seq, "v"), c)
-
-    scores = matmul(qh, kh.transpose((0, 1, 3, 2))) * (1.0 / math.sqrt(dk))
-    mask = None
-    if context_mask is not None:
-        mask = np.asarray(context_mask, dtype=bool).reshape(b, 1, 1, c)
-    alpha = softmax(scores, mask)
-    weights = alpha.data
-    alpha = dropout(alpha, cfg.dropout, rt.rng, rt.training)
-    mixed = matmul(alpha, vh).transpose((0, 2, 1, 3)).reshape((b, q, d))
-    out = project(mixed, "o")
-    return out, weights
+    mixed, weights = attention(
+        query_seq, context_seq,
+        *(params[f"{prefix}.{name}"] for name in ("wq", "bq", "wk", "bk", "wv", "bv")),
+        cfg.num_heads, context_mask, cfg.dropout, rt.rng, rt.training)
+    return linear(mixed, params[f"{prefix}.wo"], params[f"{prefix}.bo"]), weights
 
 
 def _sublayer(x: Tensor, sub_out: Tensor, params, prefix: str, cfg: ModelConfig, rt: Runtime) -> Tensor:

@@ -5,10 +5,14 @@ Forward passes record primitive applications on the active ``Tape``;
 gradients into every tensor that requires them. A tape is a single-use
 object: open one per forward pass, run backward once, discard it.
 
-Every ``x @ W + b`` projection goes through ``linear``: one record, and a
-backward of three 2-D GEMM-shaped products over the flattened rows.
-``matmul`` is left for products of two activations (attention scores and
-mixing).
+Every ``x @ W + b`` projection outside attention goes through ``linear``:
+one record, and a backward of three 2-D GEMM-shaped products over the
+flattened rows. Each multi-head attention block up to its output projection
+is one ``attention`` record -- q/k/v projections, head split, scaled scores,
+masked softmax, dropout on the probabilities, mixing product, head merge --
+with a hand-written backward. The model records no ``matmul`` or
+``softmax``; they stay as general primitives, and the attention tests
+compose them as the float64 reference.
 
 Gradient ownership: a leaf (a tensor no record produced, i.e. a parameter)
 owns its ``grad`` array. ``zero_grads`` makes every leaf's gradient a view
@@ -337,6 +341,103 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         return gx, gw, gb
 
     return _apply(out.reshape(shape[:-1] + (d_out,)), (x, w, b), rule)
+
+
+def attention(query: Tensor, context: Tensor, wq: Tensor, bq: Tensor, wk: Tensor,
+              bk: Tensor, wv: Tensor, bv: Tensor, num_heads: int,
+              mask: np.ndarray | None = None, rate: float = 0.0,
+              rng: np.random.Generator | None = None,
+              training: bool = False) -> tuple[Tensor, np.ndarray]:
+    """Multi-head scaled dot-product attention up to the output projection, as one record.
+
+    ``query`` is (B, q, d), ``context`` (B, c, d), each ``w`` (d, d) and
+    each ``b`` (d,). The record covers the q/k/v projections, the head
+    split, the scores scaled by 1/sqrt(d / num_heads), the softmax over the
+    context positions where ``mask`` (B, c) is True, dropout at ``rate`` on
+    the probabilities (one ``rng.random((B, h, q, c))`` draw, as
+    ``dropout``), the mixing product and the head merge. Returns the merged
+    heads (B, q, d) and the pre-dropout weights (B, h, q, c). A mask with
+    no False entry is applied as no mask; a query row with no unmasked
+    position is an error. The backward is written out by hand; when
+    ``query`` is ``context`` their gradient is returned once.
+    """
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+    query, context = _as_tensor(query), _as_tensor(context)
+    proj = [_as_tensor(t, like=query.data) for t in (wq, bq, wk, bk, wv, bv)]
+    b, q, d = query.data.shape
+    c = context.data.shape[1]
+    h = num_heads
+    if (context.data.shape != (b, c, d) or d % h
+            or any(t.data.shape != ((d, d) if i % 2 == 0 else (d,)) for i, t in enumerate(proj))):
+        raise ValueError(
+            f"attention shapes disagree: query {query.data.shape}, context {context.data.shape}, "
+            f"projections {[t.data.shape for t in proj]}, {h} heads"
+        )
+    keep_ctx = None
+    if mask is not None:
+        keep_ctx = np.asarray(mask, dtype=bool).reshape(b, 1, 1, c)
+        if keep_ctx.all():
+            keep_ctx = None
+        elif not keep_ctx.any(axis=-1).all():
+            raise ValueError("attention encountered a fully masked row")
+    dk = d // h
+    scale = 1.0 / math.sqrt(dk)
+    xq, xc = query.data.reshape(-1, d), context.data.reshape(-1, d)
+
+    def heads(x, w, bias, n):
+        y = x @ w.data
+        y += bias.data
+        return y.reshape(b, n, h, dk).transpose(0, 2, 1, 3)
+
+    qh = heads(xq, *proj[0:2], q)
+    kh = heads(xc, *proj[2:4], c)
+    vh = heads(xc, *proj[4:6], c)
+    y = qh @ kh.transpose(0, 1, 3, 2)
+    y *= scale
+    if keep_ctx is not None:
+        np.copyto(y, -np.inf, where=~keep_ctx)
+    y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+    keep = None
+    if training and rate > 0.0:
+        if rng is None:
+            raise ValueError("dropout in training mode needs an rng")
+        keep = (rng.random(y.shape) >= rate).astype(y.dtype)
+        keep /= 1.0 - rate
+    out = ((y if keep is None else y * keep) @ vh).transpose(0, 2, 1, 3).reshape(b, q, d)
+    shared = query is context
+
+    def rule(g):
+        def merged(x, n):
+            return x.transpose(0, 2, 1, 3).reshape(b * n, d)
+
+        gh = g.reshape(b, q, h, dk).transpose(0, 2, 1, 3)
+        alpha = y if keep is None else y * keep
+        gv = merged(alpha.transpose(0, 1, 3, 2) @ gh, c)
+        ga = gh @ vh.transpose(0, 1, 3, 2)
+        if keep is not None:
+            ga *= keep
+        gs = y * (ga - (ga * y).sum(axis=-1, keepdims=True))
+        gs *= scale
+        gq = merged(gs @ kh, q)
+        gk = merged(gs.transpose(0, 1, 3, 2) @ qh, c)
+        gxq = gq @ proj[0].data.T if query.requires_grad else None
+        gxc = None
+        if context.requires_grad:
+            gxc = gk @ proj[2].data.T
+            gxc += gv @ proj[4].data.T
+            if shared:
+                gxq, gxc = gxc + gxq, None
+        grads = [None if gxq is None else gxq.reshape(b, q, d),
+                 None if gxc is None else gxc.reshape(b, c, d)]
+        for x, gy, (w, bias) in ((xq, gq, proj[0:2]), (xc, gk, proj[2:4]), (xc, gv, proj[4:6])):
+            grads.append(x.T @ gy if w.requires_grad else None)
+            grads.append(gy.sum(axis=0) if bias.requires_grad else None)
+        return tuple(grads)
+
+    return _apply(out, (query, context, *proj), rule), y
 
 
 def reshape(t: Tensor, shape) -> Tensor:

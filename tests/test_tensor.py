@@ -13,6 +13,7 @@ import pytest
 from crossmodal.tensor import (
     Tape,
     Tensor,
+    attention,
     backward,
     concat,
     dropout,
@@ -113,6 +114,111 @@ def test_linear_equals_matmul_plus_bias(x_shape):
 def test_linear_shape_error_names_shapes():
     with pytest.raises(ValueError, match=r"\(2, 3\).*\(4, 5\).*\(5,\)"):
         linear(tensor(np.zeros((2, 3))), tensor(np.zeros((4, 5))), tensor(np.zeros(5)))
+
+
+# ---------------------------------------------------------------------------
+# attention
+
+HEADS = 2
+
+
+def _attention_inputs(seed, self_attention, b=2, q=3, c=4, d=6):
+    """Query, context (the query itself for self-attention), projections, a mask with False entries."""
+    rng = np.random.default_rng(seed)
+    x = f64(rng.normal(size=(b, q, d)))
+    ctx = x if self_attention else f64(rng.normal(size=(b, c, d)))
+    proj = [f64(0.5 * rng.normal(size=(d, d) if i % 2 == 0 else (d,))) for i in range(6)]
+    mask = np.ones((b, ctx.shape[1]), dtype=bool)
+    mask[0, 1] = mask[1, -1] = False
+    return x, ctx, proj, mask
+
+
+def _composed_attention(x, ctx, proj, mask, rate, rng):
+    """The path ``attention`` fuses, from linear, matmul, softmax and dropout records."""
+    b, q, d = x.shape
+    c = ctx.shape[1]
+    dk = d // HEADS
+
+    def split(t, n):
+        return t.reshape((b, n, HEADS, dk)).transpose((0, 2, 1, 3))
+
+    qh = split(linear(x, *proj[0:2]), q)
+    kh = split(linear(ctx, *proj[2:4]), c)
+    vh = split(linear(ctx, *proj[4:6]), c)
+    scores = matmul(qh, kh.transpose((0, 1, 3, 2))) * (1.0 / math.sqrt(dk))
+    alpha = softmax(scores, mask.reshape(b, 1, 1, c))
+    weights = alpha.data
+    alpha = dropout(alpha, rate, rng, training=True)
+    return matmul(alpha, vh).transpose((0, 2, 1, 3)).reshape((b, q, d)), weights
+
+
+@pytest.mark.parametrize("self_attention", [True, False], ids=["self", "cross"])
+def test_attention_gradcheck(self_attention):
+    with using_dtype(np.float64):
+        x, ctx, proj, mask = _attention_inputs(4, self_attention)
+        mix = tensor(np.random.default_rng(5).normal(size=x.shape))
+        leaves = {"query": x, "context": ctx,
+                  **dict(zip(("wq", "bq", "wk", "bk", "wv", "bv"), proj))}
+        if self_attention:
+            del leaves["context"]
+
+        def loss():
+            out, _ = attention(x, ctx, *proj, HEADS, mask, 0.3, np.random.default_rng(6),
+                               training=True)
+            return tsum(out * mix)
+
+        gradcheck(loss, leaves)
+
+
+@pytest.mark.parametrize("self_attention", [True, False], ids=["self", "cross"])
+def test_attention_matches_composed_path(self_attention):
+    with using_dtype(np.float64):
+        x, ctx, proj, mask = _attention_inputs(7, self_attention)
+        mix = tensor(np.random.default_rng(8).normal(size=x.shape))
+        leaves = [x, *proj] if self_attention else [x, ctx, *proj]
+        results = []
+        for fused in (True, False):
+            for t in leaves:
+                t.grad = None
+            rng = np.random.default_rng(9)
+            with Tape():
+                if fused:
+                    out, weights = attention(x, ctx, *proj, HEADS, mask, 0.3, rng, training=True)
+                else:
+                    out, weights = _composed_attention(x, ctx, proj, mask, 0.3, rng)
+                backward(tsum(out * mix))
+            results.append([out.data, weights] + [t.grad for t in leaves])
+        for got, want in zip(*results):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() < 1e-12
+
+
+def test_attention_all_true_mask_is_no_mask():
+    with using_dtype(np.float64):
+        x, ctx, proj, mask = _attention_inputs(10, False)
+        free, w_free = attention(x, ctx, *proj, HEADS)
+        full, w_full = attention(x, ctx, *proj, HEADS, np.ones_like(mask))
+        assert np.array_equal(free.data, full.data) and np.array_equal(w_free, w_full)
+        _, w_masked = attention(x, ctx, *proj, HEADS, mask)
+        assert np.all(w_masked[0, :, :, 1] == 0.0)
+        assert np.allclose(w_masked.sum(axis=-1), 1.0)
+
+
+def test_attention_fully_masked_row_raises():
+    with using_dtype(np.float64):
+        x, ctx, proj, mask = _attention_inputs(11, False)
+        mask[1] = False
+        with pytest.raises(ValueError, match="fully masked"):
+            attention(x, ctx, *proj, HEADS, mask)
+
+
+def test_attention_shape_error():
+    with using_dtype(np.float64):
+        x, ctx, proj, _ = _attention_inputs(12, False)
+        with pytest.raises(ValueError, match="attention shapes disagree"):
+            attention(x, ctx, *proj, 4)  # d = 6 does not split into 4 heads
+        with pytest.raises(ValueError, match="attention shapes disagree"):
+            attention(x, ctx, proj[1], *proj[1:], HEADS)
 
 
 # ---------------------------------------------------------------------------
