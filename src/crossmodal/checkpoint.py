@@ -26,6 +26,7 @@ byte-identical.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import asdict, dataclass, fields
 
@@ -111,44 +112,62 @@ def _read_tensor(fh) -> tuple[str, np.ndarray]:
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
+    """Write ``ckpt`` to a temporary file beside ``path``, then move it into place.
+
+    A write that fails part way leaves the file at ``path`` as it was and
+    removes the temporary file. (There is no fsync: this guards against the
+    process failing, not the machine.)
+    """
+    path = os.fspath(path)
+    tmp = f"{path}.tmp{os.getpid()}"
+    try:
+        with open(tmp, "wb") as fh:
+            _write_checkpoint(fh, ckpt)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def _write_checkpoint(fh, ckpt: Checkpoint) -> None:
     header = {
         "model": asdict(ckpt.config),
         "heads": list(ckpt.heads),
         "extra": ckpt.extra or {},
     }
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        blob = _json_bytes(header)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        rng_blob = _json_bytes(ckpt.rng_state)
-        fh.write(struct.pack("<I", len(rng_blob)))
-        fh.write(rng_blob)
+    fh.write(MAGIC)
+    fh.write(struct.pack("<I", VERSION))
+    blob = _json_bytes(header)
+    fh.write(struct.pack("<I", len(blob)))
+    fh.write(blob)
+    rng_blob = _json_bytes(ckpt.rng_state)
+    fh.write(struct.pack("<I", len(rng_blob)))
+    fh.write(rng_blob)
 
-        names = sorted(ckpt.params)
-        fh.write(struct.pack("<I", len(names)))
-        for name in names:
-            _write_tensor(fh, name, ckpt.params[name].data)
+    names = sorted(ckpt.params)
+    fh.write(struct.pack("<I", len(names)))
+    for name in names:
+        _write_tensor(fh, name, ckpt.params[name].data)
 
-        if ckpt.opt_state is None:
-            fh.write(struct.pack("<B", 0))
-        else:
-            fh.write(struct.pack("<B", 1))
-            st = ckpt.opt_state
-            opt_blob = _json_bytes({
-                "step": st.step, "beta1": st.beta1, "beta2": st.beta2, "eps": st.eps,
-                "peak_lr": st.peak_lr, "warmup_fraction": st.warmup_fraction,
-                "total_steps": st.total_steps,
-            })
-            fh.write(struct.pack("<I", len(opt_blob)))
-            fh.write(opt_blob)
-            moment_names = sorted(st.m)
-            fh.write(struct.pack("<I", 2 * len(moment_names)))
-            for name in moment_names:
-                _write_tensor(fh, f"m.{name}", st.m[name])
-            for name in moment_names:
-                _write_tensor(fh, f"v.{name}", st.v[name])
+    if ckpt.opt_state is None:
+        fh.write(struct.pack("<B", 0))
+    else:
+        fh.write(struct.pack("<B", 1))
+        st = ckpt.opt_state
+        opt_blob = _json_bytes({
+            "step": st.step, "beta1": st.beta1, "beta2": st.beta2, "eps": st.eps,
+            "peak_lr": st.peak_lr, "warmup_fraction": st.warmup_fraction,
+            "total_steps": st.total_steps,
+        })
+        fh.write(struct.pack("<I", len(opt_blob)))
+        fh.write(opt_blob)
+        moment_names = sorted(st.m)
+        fh.write(struct.pack("<I", 2 * len(moment_names)))
+        for name in moment_names:
+            _write_tensor(fh, f"m.{name}", st.m[name])
+        for name in moment_names:
+            _write_tensor(fh, f"v.{name}", st.v[name])
 
 
 def _validate_layout(params: dict[str, np.ndarray], cfg: ModelConfig,

@@ -155,13 +155,17 @@ def _fit(items: list, step_loss, params: dict[str, Tensor], opt: OptimizerState,
     loss and the loss fields of the metrics line. ``phase2`` is true from
     epoch ``phase2_epoch`` on, where ``phase2_lr`` (when set) replaces the
     peak learning rate. With ``resume_epoch`` the run starts at that epoch
-    and appends to ``metrics_path``. ``end_epoch(epoch)`` runs after every
-    epoch.
+    and appends to ``metrics_path``, after dropping the lines a crashed run
+    wrote from that epoch on. ``end_epoch(epoch)`` runs after every epoch,
+    once the epoch's metrics lines are flushed. Each line also carries the
+    global gradient norm before clipping.
     """
     steps_per_epoch = math.ceil(len(items) / batch_size)
     total_steps = steps_per_epoch * epochs
     history: list[dict] = []
     t0 = time.time()
+    if resume_epoch is not None:
+        _drop_metrics_from(metrics_path, resume_epoch * steps_per_epoch)
     with open(metrics_path, "w" if resume_epoch is None else "a", encoding="utf-8") as metrics:
         for epoch in range(resume_epoch or 0, epochs):
             phase2 = phase2_epoch is not None and epoch >= phase2_epoch
@@ -174,18 +178,35 @@ def _fit(items: list, step_loss, params: dict[str, Tensor], opt: OptimizerState,
                 with Tape():
                     loss, fields = step_loss(chunk, phase2)
                     backward(loss)
-                clip_gradients(params, clip_norm)
+                grad_norm = clip_gradients(params, clip_norm)
                 lr = lr_at_step(step, peak, warmup_fraction, total_steps)
                 adam_step(params, {name: p.grad for name, p in params.items()}, opt, lr)
 
-                line = {"step": step, "lr": lr, **fields, "wall_time": time.time() - t0}
+                line = {"step": step, "lr": lr, **fields, "grad_norm": grad_norm,
+                        "wall_time": time.time() - t0}
                 metrics.write(json.dumps(line) + "\n")
                 history.append(line)
                 if log is not None and (step % 50 == 0 or step == total_steps - 1):
                     log(f"step {step}/{total_steps} lr={lr:.2e} loss={loss.item():.4f}")
             if end_epoch is not None:
+                metrics.flush()
                 end_epoch(epoch)
     return history
+
+
+def _drop_metrics_from(path, first_step: int) -> None:
+    """Rewrite the metrics file without its lines from ``first_step`` on.
+
+    A run that crashed after its last checkpoint left those steps, and maybe
+    a torn last line, which the resumed run writes again.
+    """
+    if not os.path.exists(path):
+        return
+    with open(path, "r", encoding="utf-8") as fh:
+        kept = [line for line in fh
+                if line.endswith("\n") and json.loads(line)["step"] < first_step]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(kept)
 
 
 @dataclass

@@ -131,3 +131,33 @@ def test_rng_state_restores_stream(tmp_path):
     restored = np.random.default_rng(0)
     restored.bit_generator.state = loaded.rng_state
     assert np.array_equal(restored.random(16), rng.random(16))
+
+
+def test_failed_save_leaves_previous_checkpoint(tmp_path, monkeypatch):
+    import crossmodal.checkpoint as checkpoint
+
+    path = tmp_path / "d.ckpt"
+    save_checkpoint(path, make_checkpoint(seed=0))
+    before = path.read_bytes()
+    write = checkpoint._write_tensor
+    calls = []
+
+    def failing_write(*args):
+        calls.append(args[1])
+        if len(calls) == 3:
+            raise OSError("disk full")
+        write(*args)
+
+    monkeypatch.setattr(checkpoint, "_write_tensor", failing_write)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, make_checkpoint(seed=1))
+    assert len(calls) == 3
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.ckpt"]
+
+
+def test_load_returns_parameters_in_layout_order(tmp_path):
+    ckpt = make_checkpoint()
+    path = tmp_path / "e.ckpt"
+    save_checkpoint(path, ckpt)
+    assert list(load_checkpoint(path).params) == list(ckpt.params)

@@ -118,3 +118,46 @@ def test_clip_noop_below_threshold():
     assert np.array_equal(p["w"].grad, before)
     clip_gradients(p, max_norm=None)
     assert np.array_equal(p["w"].grad, before)
+
+
+def test_adam_reads_a_plain_gradient_dict_and_packs_the_state():
+    rng = np.random.default_rng(3)
+    p = {"w": Tensor(rng.normal(size=(2, 3)), requires_grad=True),
+         "b": Tensor(rng.normal(size=3), requires_grad=True)}
+    before = {k: t.data.copy() for k, t in p.items()}
+    grads = {k: rng.normal(size=t.data.shape) for k, t in p.items()}
+    given = dict(grads)
+    saved = {k: g.copy() for k, g in grads.items()}
+    state = OptimizerState({k: np.zeros_like(t.data) for k, t in p.items()},
+                           {k: np.zeros_like(t.data) for k, t in p.items()})
+    adam_step(p, grads, state, lr=0.1)
+    for k in p:
+        # first step from zero moments: the update is lr g / (|g| + eps)
+        want = before[k] - 0.1 * saved[k] / (np.abs(saved[k]) + 1e-8)
+        assert np.abs(p[k].data - want).max() < 1e-12
+        assert grads[k] is given[k] and np.array_equal(grads[k], saved[k])
+    buffers = [p["w"].data.base, state.m["w"].base, state.v["w"].base]
+    for buf, arrays in zip(buffers, ([t.data for t in p.values()], list(state.m.values()),
+                                     list(state.v.values()))):
+        assert buf is not None and buf.size == 9
+        assert all(a.base is buf for a in arrays)
+    adam_step(p, grads, state, lr=0.1)
+    after = [p["w"].data.base, state.m["w"].base, state.v["w"].base]
+    assert all(a is b for a, b in zip(after, buffers))
+
+
+def test_adam_rejects_a_misshapen_gradient():
+    p = {"w": Tensor(np.zeros((2, 3)), requires_grad=True)}
+    state = OptimizerState.init(p, 1e-3, 0.0, 10)
+    with pytest.raises(ValueError, match="'w'.*\\(3,\\)"):
+        adam_step(p, {"w": np.zeros(3)}, state, lr=1e-3)
+
+
+def test_clip_gradients_packs_separate_gradients():
+    p = {"a": Tensor(np.zeros(3), requires_grad=True),
+         "b": Tensor(np.zeros((2, 2)), requires_grad=True)}
+    p["a"].grad = np.full(3, 2.0)
+    p["b"].grad = np.full((2, 2), 2.0)
+    assert clip_gradients(p, max_norm=1.0) == pytest.approx(np.sqrt(7 * 4.0))
+    assert p["a"].grad.base is p["b"].grad.base is not None
+    assert np.sqrt(sum((t.grad**2).sum() for t in p.values())) == pytest.approx(1.0)

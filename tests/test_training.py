@@ -20,9 +20,11 @@ from crossmodal.data import (
 )
 from crossmodal.encoders import Runtime, forward_batch
 from crossmodal.heads import pairwise_logit, pretrain_losses
-from crossmodal.tensor import Tape, backward, tsum, zero_grads
+from crossmodal.optim import OptimizerState
+from crossmodal.tensor import Tape, Tensor, backward, tsum, zero_grads
 from crossmodal.train import (
     DataBundle,
+    _fit,
     dump_attention,
     evaluate_checkpoint,
     make_initial_checkpoint,
@@ -72,7 +74,7 @@ def test_pretraining_smoke_and_loss_decreases(tmp_path):
     assert len(lines) == len(result.history)
     for line in lines[:5]:
         assert set(line) == {"step", "lr", "mlm", "obj_feat", "obj_label",
-                             "match", "qa", "total", "wall_time"}
+                             "match", "qa", "total", "grad_norm", "wall_time"}
 
 
 def test_phase1_qa_loss_exactly_zero(tmp_path):
@@ -100,8 +102,8 @@ def test_phase1_leaves_qa_head_at_initialization(tmp_path):
 
 
 PRETRAIN_FIELDS = ["step", "lr", "mlm", "obj_feat", "obj_label", "match", "qa", "total",
-                   "wall_time"]
-FINETUNE_FIELDS = ["step", "lr", "loss", "wall_time"]
+                   "grad_norm", "wall_time"]
+FINETUNE_FIELDS = ["step", "lr", "loss", "grad_norm", "wall_time"]
 
 
 def _seeded_run(task, bundle, seed, out_dir):
@@ -319,3 +321,97 @@ def test_pretraining_step_records_one_attention_per_block():
     assert ops["attention"] == blocks
     assert ops["matmul"] == 0
     assert len(records) < 200
+
+
+def _pretraining_step_setup(seed=0, batch=8):
+    """Desk-model parameters from a fresh checkpoint and a step loss over train rows."""
+    bundle = small_bundle()
+    run_cfg = RunConfig()
+    ckpt = make_initial_checkpoint(run_cfg, bundle, seed=seed)
+    cfg = ckpt.config
+    train = bundle.split("train")[:batch]
+    maker = BatchMaker(train, bundle.store, bundle.vocab, AnswerTable(ckpt.extra["answers"]),
+                       run_cfg.masking, cfg)
+
+    def step_loss(params, chunk, rng):
+        packed = collate(maker.make_batch(chunk, rng), bundle.vocab)
+        out = forward_batch(packed, params, cfg, Runtime(training=True, rng=rng))
+        return pretrain_losses(packed, out, params, qa_enabled=True).total
+
+    return train, ckpt.params, step_loss
+
+
+def _assert_one_buffer(arrays):
+    """The arrays are consecutive views of one 1-D buffer, in order."""
+    base = arrays[0].base
+    assert base is not None and base.ndim == 1
+    assert base.size == sum(a.size for a in arrays)
+    start = base.__array_interface__["data"][0]
+    offset = 0
+    for a in arrays:
+        assert a.base is base
+        assert a.__array_interface__["data"][0] == start + offset * base.itemsize
+        offset += a.size
+
+
+def test_fit_step_leaves_parameters_gradients_and_moments_in_one_buffer_each(tmp_path):
+    train, params, step_loss = _pretraining_step_setup()
+    # separately allocated arrays, as a loaded checkpoint gives
+    params = {k: Tensor(p.data.copy(), requires_grad=True) for k, p in params.items()}
+    opt = OptimizerState({k: np.zeros_like(p.data) for k, p in params.items()},
+                         {k: np.zeros_like(p.data) for k, p in params.items()})
+    rng = np.random.default_rng(0)
+    history = _fit(train, lambda chunk, _: (step_loss(params, chunk, rng), {}), params, opt, rng,
+                   tmp_path / "metrics.jsonl", epochs=1, batch_size=len(train),
+                   peak_lr=1e-3, warmup_fraction=0.0, clip_norm=1.0)
+    assert len(history) == 1 and history[0]["grad_norm"] > 0
+    _assert_one_buffer([p.data for p in params.values()])
+    _assert_one_buffer([p.grad for p in params.values()])
+    _assert_one_buffer([opt.m[k] for k in params])
+    _assert_one_buffer([opt.v[k] for k in params])
+
+
+def test_no_backward_rule_writes_into_its_gradient():
+    # an intermediate takes its first gradient by reference, so the array a
+    # rule receives may be another tensor's gradient: rules must only read it
+    train, params, step_loss = _pretraining_step_setup(seed=1)
+
+    def read_only(rule):
+        def wrapped(g):
+            g = np.array(g)
+            g.flags.writeable = False
+            return rule(g)
+        return wrapped
+
+    grads = []
+    for guard in (False, True):
+        zero_grads(params)
+        with Tape() as tape:
+            loss = step_loss(params, train, np.random.default_rng(2))
+            if guard:
+                tape.records[:] = [(out, inputs, read_only(rule))
+                                   for out, inputs, rule in tape.records]
+            backward(loss)
+        grads.append({k: p.grad.copy() for k, p in params.items()})
+    for k in params:
+        assert np.array_equal(grads[0][k], grads[1][k]), k
+
+
+def test_resume_after_a_crash_writes_each_step_once(tmp_path):
+    bundle = small_bundle()
+    full = run_pretraining(bundle, tiny_run_cfg(epochs=2), seed=6, out_dir=tmp_path / "full")
+    crashed = tmp_path / "crashed"
+    run_pretraining(bundle, tiny_run_cfg(epochs=2), seed=6, out_dir=crashed)
+    steps_per_epoch = len(full.history) // 2
+    # the crash came in epoch 1, after checkpoint-epoch-1 and two of its
+    # steps, the second of them torn mid-line
+    metrics = crashed / "metrics.jsonl"
+    lines = metrics.read_text().splitlines(keepends=True)[:steps_per_epoch + 1]
+    lines.append(json.dumps({"step": steps_per_epoch, "total": -1.0}) + "\n")
+    lines.append(lines[-2][:20])
+    metrics.write_text("".join(lines))
+    run_pretraining(bundle, tiny_run_cfg(epochs=2), seed=6, out_dir=crashed,
+                    resume=str(crashed / "checkpoint-epoch-1.ckpt"))
+    resumed = read_metrics(metrics)
+    assert [line["step"] for line in resumed] == list(range(2 * steps_per_epoch))
+    assert strip_wall_time(resumed) == strip_wall_time(read_metrics(full.metrics_path))
