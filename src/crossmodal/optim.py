@@ -72,21 +72,14 @@ def _zero_moments(params: dict[str, Tensor]) -> dict[str, np.ndarray]:
     return dict(zip(params, views))
 
 
-def _packed_data(tensors: list[Tensor]) -> np.ndarray:
-    buf = arena_of([p.data for p in tensors])
+def _packed(tensors: list[Tensor], attr: str) -> np.ndarray:
+    """The buffer behind the tensors' ``attr`` arrays, packing and rebinding them if needed."""
+    arrays = [getattr(t, attr) for t in tensors]
+    buf = arena_of(arrays)
     if buf is None:
-        buf, views = pack([p.data for p in tensors])
-        for p, view in zip(tensors, views):
-            p.data = view
-    return buf
-
-
-def _packed_grads(tensors: list[Tensor]) -> np.ndarray:
-    buf = arena_of([p.grad for p in tensors])
-    if buf is None:
-        buf, views = pack([p.grad for p in tensors])
-        for p, view in zip(tensors, views):
-            p.grad = view
+        buf, views = pack(arrays)
+        for t, view in zip(tensors, views):
+            setattr(t, attr, view)
     return buf
 
 
@@ -125,7 +118,7 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray | None],
     b1, b2, eps = state.beta1, state.beta2, state.eps
     g = _gathered_grads(params, grads)
     names = list(params)
-    p = _packed_data(list(params.values()))
+    p = _packed(list(params.values()), "data")
     m = _packed_moment(state.m, names)
     v = _packed_moment(state.v, names)
     scratch = np.empty((2, min(p.size, _CHUNK)), dtype=np.result_type(m, g))
@@ -158,7 +151,7 @@ def clip_gradients(params: dict[str, Tensor], max_norm: float | None) -> float:
     tensors = [p for p in params.values() if p.grad is not None]
     if not tensors:
         return 0.0
-    g = _packed_grads(tensors)
+    g = _packed(tensors, "grad")
     scratch = np.empty(min(g.size, _CHUNK), dtype=np.float64)
     total = 0.0
     for lo in range(0, g.size, _CHUNK):
