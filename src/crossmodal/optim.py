@@ -1,7 +1,7 @@
 """Adam with bias correction, a linear warmup/decay schedule, and gradient clipping.
 
 Flat layout: the parameters, their gradients and the Adam moments ``m`` and
-``v`` are each views into one contiguous buffer (``tensor.pack``), in the
+``v`` are each views into one contiguous buffer (``tensor.arena``), in the
 order of the parameter dict, so an update is a few whole-vector numpy ops
 over slices of ``_CHUNK`` elements. The functions still take any dict:
 parameters, gradients and moments that are not yet views of one buffer are
@@ -67,7 +67,7 @@ class OptimizerState:
 
 
 def _zero_moments(params: dict[str, Tensor]) -> dict[str, np.ndarray]:
-    buf, views = pack([p.data for p in params.values()], copy=False)
+    buf, views = pack([p.data for p in params.values()])
     buf.fill(0)
     return dict(zip(params, views))
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import ModelConfig
-from .tensor import Tensor, default_dtype
+from .tensor import Tensor, arena, default_dtype
 
 PRETRAIN_HEADS = "pretrain"
 PAIRWISE_HEAD = "pairwise"
@@ -114,16 +114,17 @@ def parameter_layout(cfg: ModelConfig, heads: tuple[str, ...] = (PRETRAIN_HEADS,
 def _init_layout(layout: dict[str, tuple[int, ...]], rng: np.random.Generator,
                  std: float) -> dict[str, Tensor]:
     """Per name, in layout order: layer-norm gains 1, other 1-D tensors 0,
-    everything else truncated normal (the only draws from ``rng``)."""
-    dtype = default_dtype()
+    everything else truncated normal (the only draws from ``rng``). The
+    tensors are views of one arena buffer, so the optimizer packs nothing."""
+    _, views = arena(list(layout.values()), default_dtype())
     params: dict[str, Tensor] = {}
-    for name, shape in layout.items():
+    for (name, shape), data in zip(layout.items(), views):
         if name.endswith(".g"):
-            data = np.ones(shape, dtype=dtype)
+            data.fill(1)
         elif len(shape) == 1:
-            data = np.zeros(shape, dtype=dtype)
+            data.fill(0)
         else:
-            data = trunc_normal(rng, shape, std).astype(dtype)
+            data[...] = trunc_normal(rng, shape, std)
         params[name] = Tensor(data, requires_grad=True)
     return params
 

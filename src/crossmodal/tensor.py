@@ -16,7 +16,7 @@ compose them as the float64 reference.
 
 Gradient ownership: a leaf (a tensor no record produced, i.e. a parameter)
 owns its ``grad`` array. ``zero_grads`` makes every leaf's gradient a view
-into one flat arena buffer (``pack``), laid out in the parameter dict's
+into one flat arena buffer (``arena``), laid out in the parameter dict's
 order; ``backward`` adds into that view in place, or stores a copy of a
 first gradient when there is no view, so scaling a leaf's gradient in place
 (as ``clip_gradients`` does, on the whole arena at once) never reaches
@@ -735,7 +735,7 @@ _ARENA_VIEWS: dict[int, tuple[int, ...]] = {}
 def arena_of(arrays: list) -> np.ndarray | None:
     """The buffer ``arrays`` are the consecutive views of, in order, or None.
 
-    Only buffers made by ``pack`` count, and only with exactly the views it
+    Only buffers made by ``arena`` count, and only with exactly the views it
     made, in the order it made them.
     """
     base = getattr(arrays[0], "base", None) if arrays else None
@@ -744,25 +744,27 @@ def arena_of(arrays: list) -> np.ndarray | None:
     return base
 
 
-def pack(arrays: list[np.ndarray], copy: bool = True) -> tuple[np.ndarray, list[np.ndarray]]:
-    """One new 1-D buffer and its consecutive views, shaped like ``arrays``.
-
-    The views hold copies of ``arrays`` (left uninitialized with ``copy``
-    false). All arrays must share one dtype.
-    """
-    dtype = arrays[0].dtype
-    if any(a.dtype != dtype for a in arrays):
-        raise ValueError(f"cannot pack mixed dtypes {sorted({str(a.dtype) for a in arrays})}")
-    buf = np.empty(sum(a.size for a in arrays), dtype=dtype)
+def arena(shapes: list[tuple[int, ...]], dtype) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A new, uninitialized 1-D buffer and its consecutive views, one per shape, in order."""
+    sizes = [math.prod(shape) for shape in shapes]
+    buf = np.empty(sum(sizes), dtype=dtype)
     views, offset = [], 0
-    for a in arrays:
-        view = buf[offset:offset + a.size].reshape(a.shape)
-        if copy:
-            view[...] = a
-        views.append(view)
-        offset += a.size
+    for shape, size in zip(shapes, sizes):
+        views.append(buf[offset:offset + size].reshape(shape))
+        offset += size
     _ARENA_VIEWS[id(buf)] = tuple(map(id, views))
     weakref.finalize(buf, _ARENA_VIEWS.pop, id(buf), None)
+    return buf, views
+
+
+def pack(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Copies of ``arrays``, which must share one dtype, as the views of a new arena."""
+    dtypes = {a.dtype for a in arrays}
+    if len(dtypes) != 1:
+        raise ValueError(f"cannot pack arrays of dtypes {sorted(map(str, dtypes))} into one buffer")
+    buf, views = arena([a.shape for a in arrays], dtypes.pop())
+    for view, a in zip(views, arrays):
+        view[...] = a
     return buf, views
 
 
@@ -773,7 +775,7 @@ def zero_grads(params: dict[str, Tensor]) -> None:
         return
     buf = arena_of([p.grad for p in tensors])
     if buf is None:
-        buf, views = pack([p.data for p in tensors], copy=False)
+        buf, views = pack([p.data for p in tensors])
         for p, view in zip(tensors, views):
             p.grad = view
     buf.fill(0)
