@@ -419,10 +419,12 @@ def attention(query: Tensor, context: Tensor, wq: Tensor, bq: Tensor, wk: Tensor
         ga = gh @ vh.transpose(0, 1, 3, 2)
         if keep is not None:
             ga *= keep
-        gs = y * (ga - (ga * y).sum(axis=-1, keepdims=True))
-        gs *= scale
-        gq = merged(gs @ kh, q)
-        gk = merged(gs.transpose(0, 1, 3, 2) @ qh, c)
+        # softmax backward, then the score scale, in place on the fresh ga
+        ga -= (ga * y).sum(axis=-1, keepdims=True)
+        ga *= y
+        ga *= scale
+        gq = merged(ga @ kh, q)
+        gk = merged(ga.transpose(0, 1, 3, 2) @ qh, c)
         gxq = gq @ proj[0].data.T if query.requires_grad else None
         gxc = None
         if context.requires_grad:
@@ -727,19 +729,21 @@ def cast(t: Tensor, dtype) -> Tensor:
 # flat arena
 
 # id of an arena buffer -> ids of its views, in order, so arena_of confirms a
-# layout, order included, with one comparison (reading each view's address
-# would cost about a microsecond per view); an entry lives as long as its buffer
+# layout, order included, by comparing ids (reading each view's address would
+# cost about a microsecond per view); an entry lives as long as its buffer
 _ARENA_VIEWS: dict[int, tuple[int, ...]] = {}
 
 
 def arena_of(arrays: list) -> np.ndarray | None:
     """The buffer ``arrays`` are the consecutive views of, in order, or None.
 
-    Only buffers made by ``arena`` count, and only with exactly the views it
-    made, in the order it made them.
+    Only buffers made by ``arena`` count, and only with the views it made, in
+    the order it made them. The ids of views that died can be reused, so
+    every array must also still view the buffer.
     """
     base = getattr(arrays[0], "base", None) if arrays else None
-    if base is None or _ARENA_VIEWS.get(id(base)) != tuple(map(id, arrays)):
+    if (base is None or _ARENA_VIEWS.get(id(base)) != tuple(map(id, arrays))
+            or any(a.base is not base for a in arrays)):
         return None
     return base
 

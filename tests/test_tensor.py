@@ -13,6 +13,7 @@ import pytest
 from crossmodal.tensor import (
     Tape,
     Tensor,
+    arena_of,
     attention,
     backward,
     concat,
@@ -555,6 +556,19 @@ def test_leaf_keeps_its_zero_grads_buffer():
             backward(tsum(a * a) + tsum(a))
         assert a.grad is buffer
         assert np.array_equal(buffer, [3.0, -3.0])
+
+
+def test_arena_of_accepts_only_the_views_it_made_in_order():
+    a, b = f64([1.0, 2.0]), f64([[3.0], [4.0], [5.0]])
+    zero_grads({"a": a, "b": b})
+    buffer = arena_of([a.grad, b.grad])
+    assert buffer is not None and buffer.size == 5
+    assert arena_of([b.grad, a.grad]) is None
+    assert arena_of([a.grad]) is None
+    # a new gradient array can take the id of the view it replaces
+    b.grad = None
+    b.grad = np.ones((3, 1))
+    assert arena_of([a.grad, b.grad]) is None
 
 
 def test_grad_not_populated_for_untracked_inputs():
