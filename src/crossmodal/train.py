@@ -205,8 +205,10 @@ def _drop_metrics_from(path, first_step: int) -> None:
     with open(path, "r", encoding="utf-8") as fh:
         kept = [line for line in fh
                 if line.endswith("\n") and json.loads(line)["step"] < first_step]
-    with open(path, "w", encoding="utf-8") as fh:
+    tmp = f"{path}.tmp{os.getpid()}"
+    with open(tmp, "w", encoding="utf-8") as fh:
         fh.writelines(kept)
+    os.replace(tmp, path)
 
 
 @dataclass
