@@ -7,6 +7,10 @@ On-disk formats (documented byte-exact in docs/formats.md):
   - feature store: little-endian binary, fixed header then per-image blocks
   - pair corpus: one JSON record per line with fields
     image_id_0 / image_id_1 / sentence / label / split
+
+A batch carries each object's unmasked features once, in ``roi_features``:
+they are the masked-object regression target, and the object embedder
+zeroes the masked rows before projecting them.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import math
 import re
 import struct
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -133,35 +137,28 @@ class CorpusRecord:
         return self
 
 
-def save_corpus(records, path) -> None:
+def _save_jsonl(rows, path) -> None:
+    """One JSON object per line, in order."""
     with open(path, "w", encoding="utf-8") as fh:
-        for r in records:
-            fh.write(json.dumps({
-                "image_id": r.image_id,
-                "sentence": r.sentence,
-                "is_question": r.is_question,
-                "answer": r.answer,
-                "split": r.split,
-            }))
+        for row in rows:
+            fh.write(json.dumps(row))
             fh.write("\n")
 
 
-def load_corpus(path) -> list[CorpusRecord]:
-    records = []
+def _load_jsonl(path) -> list[dict]:
+    """The JSON object on each non-blank line."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            d = json.loads(line)
-            records.append(CorpusRecord(
-                image_id=d["image_id"],
-                sentence=d["sentence"],
-                is_question=bool(d["is_question"]),
-                answer=d.get("answer"),
-                split=d.get("split", "train"),
-            ).validate())
-    return records
+        return [json.loads(line) for line in fh if line.strip()]
+
+
+def save_corpus(records, path) -> None:
+    _save_jsonl((asdict(r) for r in records), path)
+
+
+def load_corpus(path) -> list[CorpusRecord]:
+    return [CorpusRecord(d["image_id"], d["sentence"], bool(d["is_question"]),
+                         d.get("answer"), d.get("split", "train")).validate()
+            for d in _load_jsonl(path)]
 
 
 @dataclass
@@ -176,31 +173,13 @@ class PairRecord:
 
 
 def save_pairs(pairs, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for p in pairs:
-            fh.write(json.dumps({
-                "image_id_0": p.image_id_0,
-                "image_id_1": p.image_id_1,
-                "sentence": p.sentence,
-                "label": bool(p.label),
-                "split": p.split,
-            }))
-            fh.write("\n")
+    _save_jsonl(({**asdict(p), "label": bool(p.label)} for p in pairs), path)
 
 
 def load_pairs(path) -> list[PairRecord]:
-    pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            d = json.loads(line)
-            pairs.append(PairRecord(
-                d["image_id_0"], d["image_id_1"], d["sentence"],
-                bool(d["label"]), d.get("split", "train"),
-            ))
-    return pairs
+    return [PairRecord(d["image_id_0"], d["image_id_1"], d["sentence"],
+                       bool(d["label"]), d.get("split", "train"))
+            for d in _load_jsonl(path)]
 
 
 @dataclass
@@ -231,8 +210,7 @@ class ObjectSet:
     roi_features: np.ndarray      # (m, feat_dim) float32
     boxes: np.ndarray             # (m, 4) normalized x_min, y_min, x_max, y_max
     detected_labels: np.ndarray   # (m,) int
-    mask_flags: np.ndarray | None = None          # (m,) bool, True = feature zeroed
-    regression_targets: np.ndarray | None = None  # original features for masked slots
+    mask_flags: np.ndarray | None = None  # (m,) bool, True = feature zeroed
 
     def __post_init__(self):
         self.roi_features = np.asarray(self.roi_features, dtype=np.float32)
@@ -246,18 +224,6 @@ class ObjectSet:
     @property
     def m(self) -> int:
         return int(self.roi_features.shape[0])
-
-    def validate(self) -> "ObjectSet":
-        m = self.m
-        if self.boxes.shape != (m, 4):
-            raise ValueError(f"boxes shape {self.boxes.shape} does not match {m} objects")
-        if self.boxes.min() < 0.0 or self.boxes.max() > 1.0:
-            raise ValueError("box coordinates must lie in [0, 1]")
-        if (self.boxes[:, 0] > self.boxes[:, 2]).any() or (self.boxes[:, 1] > self.boxes[:, 3]).any():
-            raise ValueError("boxes must satisfy x_min <= x_max and y_min <= y_max")
-        if self.mask_flags.any() and self.regression_targets is None:
-            raise ValueError("masked objects need regression targets")
-        return self
 
 
 def tokenize(sentence: str, vocab: Vocabulary, max_len: int, use_sep: bool = True) -> TokenSequence:
@@ -385,8 +351,18 @@ class BatchRow:
 class CrossModalBatch:
     rows: list[BatchRow]
 
-    def __len__(self) -> int:
-        return len(self.rows)
+
+def plain_row(image_id: str, sentence: str, store: FeatureStore, vocab: Vocabulary,
+              model: ModelConfig, *, is_question: bool = False,
+              answer_index: int = OUT_OF_TABLE) -> BatchRow:
+    """A matched row with no word or object masked: the row evaluation,
+    fine-tuning and attention dumps feed the model, and the row
+    ``BatchMaker.make_row`` masks."""
+    seq = tokenize(sentence, vocab, model.max_sentence_len, model.use_sep)
+    seq.mlm_targets = np.full(seq.token_ids.shape, -1, dtype=np.int64)
+    feats, boxes, labels = store.get(image_id)
+    return BatchRow(seq, ObjectSet(feats, boxes, labels.astype(np.int64)), True,
+                    answer_index, is_question)
 
 
 class BatchMaker:
@@ -395,8 +371,9 @@ class BatchMaker:
     Mismatched rows keep the original image but carry a sentence drawn from
     a different image. Only non-special tokens are eligible for masking;
     masked slots resolve 80/10/10 to [MASK] / random word / unchanged.
-    Object masking records the original feature as a regression target; the
-    feature itself is zeroed later, inside the object embedder.
+    Object masking only sets flags: ``roi_features`` keep the unmasked
+    features, which are the regression target, and the object embedder
+    zeroes the flagged ones.
     """
 
     def __init__(self, records, store: FeatureStore, vocab: Vocabulary,
@@ -421,16 +398,17 @@ class BatchMaker:
 
     def make_row(self, record: CorpusRecord, rng: np.random.Generator) -> BatchRow:
         cfg = self.masking
-        matched = True
-        sentence, is_question, answer = record.sentence, record.is_question, record.answer
+        source, matched = record, True
         if rng.random() < cfg.mismatch_prob:
-            other = self._draw_replacement(record.image_id, rng)
-            sentence, is_question, answer = other.sentence, other.is_question, other.answer
-            matched = False
+            source, matched = self._draw_replacement(record.image_id, rng), False
 
-        seq = tokenize(sentence, self.vocab, self.model.max_sentence_len, self.model.use_sep)
-        ids = seq.token_ids.copy()
-        targets = np.full(ids.shape, -1, dtype=np.int64)
+        answer_index = OUT_OF_TABLE
+        if matched and source.is_question:
+            answer_index = self.answer_table.lookup(source.answer)
+        row = plain_row(record.image_id, source.sentence, self.store, self.vocab, self.model,
+                        is_question=source.is_question, answer_index=answer_index)
+        row.match_label = matched
+        ids, targets = row.tokens.token_ids, row.tokens.mlm_targets
         vocab = self.vocab
         for i in range(len(ids)):
             if ids[i] < vocab.n_special:
@@ -444,22 +422,8 @@ class BatchMaker:
             elif u < cfg.mask_token_frac + cfg.random_token_frac:
                 ids[i] = int(rng.integers(vocab.n_special, len(vocab)))
             # else: keep the original token, target still recorded
-        tokens = TokenSequence(ids, targets)
-
-        feats, boxes, labels = self.store.get(record.image_id)
-        mask_flags = rng.random(self.store.m) < cfg.object_mask_prob
-        objects = ObjectSet(
-            roi_features=feats,
-            boxes=boxes,
-            detected_labels=labels.astype(np.int64),
-            mask_flags=mask_flags,
-            regression_targets=feats,
-        )
-
-        answer_index = OUT_OF_TABLE
-        if matched and is_question:
-            answer_index = self.answer_table.lookup(answer)
-        return BatchRow(tokens, objects, matched, answer_index, is_question)
+        row.objects.mask_flags = rng.random(self.store.m) < cfg.object_mask_prob
+        return row
 
     def make_batch(self, records, rng: np.random.Generator) -> CrossModalBatch:
         return CrossModalBatch([self.make_row(r, rng) for r in records])
@@ -476,15 +440,10 @@ class PackedBatch:
     boxes: np.ndarray          # (B, m, 4) float32
     detected_labels: np.ndarray  # (B, m) int64
     obj_mask_flags: np.ndarray   # (B, m) bool
-    regression_targets: np.ndarray  # (B, m, feat_dim) float32
     obj_real: np.ndarray       # (B, m) bool, True at real objects
     match_labels: np.ndarray   # (B,) int64, 1 = matched
     answer_indices: np.ndarray  # (B,) int64, OUT_OF_TABLE where inactive
     is_question: np.ndarray    # (B,) bool
-
-    @property
-    def size(self) -> int:
-        return int(self.token_ids.shape[0])
 
 
 def collate(batch: CrossModalBatch, vocab: Vocabulary) -> PackedBatch:
@@ -501,7 +460,6 @@ def collate(batch: CrossModalBatch, vocab: Vocabulary) -> PackedBatch:
     boxes = np.zeros((b, m, 4), dtype=np.float32)
     labels = np.zeros((b, m), dtype=np.int64)
     mask_flags = np.zeros((b, m), dtype=bool)
-    reg_targets = np.zeros((b, m, fd), dtype=np.float32)
 
     for i, r in enumerate(rows):
         k = r.tokens.n
@@ -513,8 +471,6 @@ def collate(batch: CrossModalBatch, vocab: Vocabulary) -> PackedBatch:
         boxes[i] = r.objects.boxes
         labels[i] = r.objects.detected_labels
         mask_flags[i] = r.objects.mask_flags
-        if r.objects.regression_targets is not None:
-            reg_targets[i] = r.objects.regression_targets
 
     return PackedBatch(
         token_ids=token_ids,
@@ -524,7 +480,6 @@ def collate(batch: CrossModalBatch, vocab: Vocabulary) -> PackedBatch:
         boxes=boxes,
         detected_labels=labels,
         obj_mask_flags=mask_flags,
-        regression_targets=reg_targets,
         obj_real=np.ones((b, m), dtype=bool),
         match_labels=np.array([int(r.match_label) for r in rows], dtype=np.int64),
         answer_indices=np.array([r.answer_index for r in rows], dtype=np.int64),
@@ -532,52 +487,8 @@ def collate(batch: CrossModalBatch, vocab: Vocabulary) -> PackedBatch:
     )
 
 
-def validate_batch(batch: CrossModalBatch, vocab: Vocabulary, model: ModelConfig) -> None:
-    """Check the structural invariants of every row; raises on violation."""
-    for i, row in enumerate(batch.rows):
-        seq = row.tokens
-        if seq.n < 1 or seq.token_ids[0] != vocab.cls_id:
-            raise ValueError(f"row {i}: position 0 must be [CLS]")
-        if seq.n > model.max_sentence_len:
-            raise ValueError(f"row {i}: sentence length {seq.n} exceeds {model.max_sentence_len}")
-        if seq.token_ids.min() < 0 or seq.token_ids.max() >= len(vocab):
-            raise ValueError(f"row {i}: token id out of vocabulary")
-        if seq.mlm_targets is None or seq.mlm_targets.shape != seq.token_ids.shape:
-            raise ValueError(f"row {i}: mlm targets missing or misshapen")
-        obj = row.objects
-        if obj.m != model.objects_per_image:
-            raise ValueError(f"row {i}: {obj.m} objects, configured {model.objects_per_image}")
-        obj.validate()
-        if obj.mask_flags.any():
-            if obj.regression_targets is None:
-                raise ValueError(f"row {i}: masked objects lack regression targets")
-        if row.answer_index < OUT_OF_TABLE:
-            raise ValueError(f"row {i}: answer index {row.answer_index} is invalid")
-        if row.answer_index != OUT_OF_TABLE and not (row.match_label and row.is_question):
-            raise ValueError(f"row {i}: answer index set on a gated row")
-
-
 # ---------------------------------------------------------------------------
 # synthetic corpus
-
-
-@dataclass
-class TemplateSet:
-    """Caption and question templates for the synthetic generator.
-
-    Caption kinds cycle per image: "transcription" lists the object labels
-    left to right (dense grounding signal: every masked slot is answerable
-    only from the image), "adjacent_pair" renders the pair template for two
-    horizontally adjacent objects. Question kinds are built in: left-of,
-    right-of, how-many.
-    """
-
-    caption_kinds: tuple[str, ...] = ("transcription", "transcription", "adjacent_pair")
-    adjacent_pair: str = "a {a} next to a {b}"
-    number_words: tuple[str, ...] = (
-        "zero", "one", "two", "three", "four", "five", "six", "seven", "eight",
-        "nine", "ten", "eleven", "twelve",
-    )
 
 
 DEFAULT_LABELS = (
@@ -585,15 +496,34 @@ DEFAULT_LABELS = (
     "cup", "dog", "door", "fish", "house", "lamp", "shoe", "tree",
 )
 
+_NUMBER_WORDS = (
+    "zero", "one", "two", "three", "four", "five", "six", "seven", "eight",
+    "nine", "ten", "eleven", "twelve",
+)
 
-def _label_centroids(rng: np.random.Generator, n_labels: int, feat_dim: int,
-                     min_separation: float) -> np.ndarray:
-    """Unit-norm centroids with pairwise separation >= ``min_separation``.
+_LABELS_PER_IMAGE = 2      # size of each image's label pool
+_MIN_SEPARATION = 1.0      # least distance between two label centroids
+
+
+def _count_word(count: int) -> str:
+    """A how-many answer: the number word up to twelve, digits above."""
+    return _NUMBER_WORDS[count] if count < len(_NUMBER_WORDS) else str(count)
+
+
+def _dev_count(n: int, dev_fraction: float) -> int:
+    """How many of the last of ``n`` items form the dev split."""
+    if not 0.0 <= dev_fraction <= 1.0:
+        raise ValueError(f"dev_fraction must be in [0, 1], got {dev_fraction}")
+    return int(math.ceil(n * dev_fraction))
+
+
+def _label_centroids(rng: np.random.Generator, n_labels: int, feat_dim: int) -> np.ndarray:
+    """Unit-norm centroids with pairwise separation >= ``_MIN_SEPARATION``.
 
     When n_labels <= feat_dim a random orthonormal frame is used (pairwise
     distance sqrt(2)); otherwise rejection sampling over random unit vectors.
     """
-    if min_separation <= math.sqrt(2.0) and n_labels <= feat_dim:
+    if n_labels <= feat_dim:
         a = rng.normal(size=(feat_dim, feat_dim))
         q, _ = np.linalg.qr(a)
         return np.ascontiguousarray(q[:n_labels])
@@ -602,10 +532,10 @@ def _label_centroids(rng: np.random.Generator, n_labels: int, feat_dim: int,
         c /= np.linalg.norm(c, axis=1, keepdims=True)
         d = np.linalg.norm(c[:, None, :] - c[None, :, :], axis=-1)
         np.fill_diagonal(d, np.inf)
-        if d.min() >= min_separation:
+        if d.min() >= _MIN_SEPARATION:
             return c
     raise ValueError(
-        f"could not place {n_labels} unit centroids at separation {min_separation}"
+        f"could not place {n_labels} unit centroids at separation {_MIN_SEPARATION}"
     )
 
 
@@ -622,48 +552,44 @@ def generate_synthetic_corpus(
     seed: int,
     n_images: int,
     label_vocab: tuple[str, ...] = DEFAULT_LABELS,
-    templates: TemplateSet | None = None,
     *,
     feat_dim: int = 32,
     objects_per_image: int = 8,
     captions_per_image: int = 2,
     questions_per_image: int = 3,
     noise_std: float = 0.2,
-    min_separation: float = 1.0,
-    labels_per_image: int = 2,
     dev_fraction: float = 0.1,
 ) -> tuple[list[CorpusRecord], FeatureStore]:
     """Generate aligned image-and-sentence pairs with learnable structure.
 
-    Every image holds ``objects_per_image`` objects drawn from a small
-    per-image pool of distinct labels; object features sit on per-label
+    Every image holds ``objects_per_image`` objects drawn from a per-image
+    pool of two distinct labels; object features sit on per-label
     Gaussian centroids so labels are linearly decodable from features.
-    Captions transcribe or name the visible objects; questions ask for the
-    label left/right of a named object or for a label count, so matching,
-    masked-label classification and QA are all learnable from the features
-    and boxes.
+    Captions cycle per image through two transcriptions, which list the
+    object labels left to right (every masked slot is answerable only from
+    the image), and "a {a} next to a {b}" for two horizontally adjacent
+    objects. Questions ask for the label left/right of a named object or
+    for a label count, so matching, masked-label classification and QA are
+    all learnable from the features and boxes.
     """
-    if not label_vocab:
-        raise ValueError("label_vocab must not be empty")
-    if labels_per_image < 2 or labels_per_image > len(label_vocab):
-        raise ValueError("labels_per_image must be in [2, len(label_vocab)]")
-    templates = templates or TemplateSet()
+    if len(label_vocab) < _LABELS_PER_IMAGE:
+        raise ValueError(f"label_vocab needs at least {_LABELS_PER_IMAGE} labels")
+    n_dev = _dev_count(n_images, dev_fraction)
     rng = np.random.default_rng(seed)
     n_labels = len(label_vocab)
-    centroids = _label_centroids(rng, n_labels, feat_dim, min_separation)
+    centroids = _label_centroids(rng, n_labels, feat_dim)
 
     m = objects_per_image
     store = FeatureStore(m, feat_dim)
     records: list[CorpusRecord] = []
-    n_dev = int(math.ceil(n_images * dev_fraction))
 
     for i in range(n_images):
         image_id = f"synth-{i:06d}"
         split = "dev" if i >= n_images - n_dev else "train"
-        pool = rng.choice(n_labels, size=labels_per_image, replace=False)
+        pool = rng.choice(n_labels, size=_LABELS_PER_IMAGE, replace=False)
         labels = np.empty(m, dtype=np.int32)
-        labels[:labels_per_image] = pool          # every pool label appears
-        labels[labels_per_image:] = rng.choice(pool, size=m - labels_per_image)
+        labels[:_LABELS_PER_IMAGE] = pool          # every pool label appears
+        labels[_LABELS_PER_IMAGE:] = rng.choice(pool, size=m - _LABELS_PER_IMAGE)
         feats = centroids[labels] + rng.normal(0.0, noise_std, size=(m, feat_dim))
         boxes = _random_boxes(rng, m)
         store.add(image_id, feats.astype(np.float32), boxes, labels)
@@ -675,16 +601,12 @@ def generate_synthetic_corpus(
         right_label = label_vocab[labels[order[-1]]]
 
         for c in range(captions_per_image):
-            kind = templates.caption_kinds[c % len(templates.caption_kinds)]
-            if kind == "transcription":
+            if c % 3 < 2:
                 sentence = " ".join(label_vocab[labels[j]] for j in order)
-            elif kind == "adjacent_pair":
-                at = int(rng.integers(0, m - 1))
-                sentence = templates.adjacent_pair.format(
-                    a=label_vocab[labels[order[at]]],
-                    b=label_vocab[labels[order[at + 1]]])
             else:
-                raise ValueError(f"unknown caption kind {kind!r}")
+                at = int(rng.integers(0, m - 1))
+                sentence = (f"a {label_vocab[labels[order[at]]]} next to "
+                            f"a {label_vocab[labels[order[at + 1]]]}")
             records.append(CorpusRecord(image_id, sentence, False, None, split))
 
         for _ in range(questions_per_image):
@@ -700,7 +622,7 @@ def generate_synthetic_corpus(
                 count = int((labels == label_vocab.index(target)).sum())
                 records.append(CorpusRecord(
                     image_id, f"how many {target} are in the picture ?", True,
-                    templates.number_words[count], split))
+                    _count_word(count), split))
 
     return records, store
 
@@ -708,20 +630,14 @@ def generate_synthetic_corpus(
 def corpus_stats(records) -> dict:
     """Counts of images, captions, questions and total pairs per split."""
     stats: dict[str, dict] = {}
-    for split in ("train", "dev"):
-        rows = [r for r in records if r.split == split]
+    for split in ("train", "dev", "all"):
+        rows = records if split == "all" else [r for r in records if r.split == split]
         stats[split] = {
             "images": len({r.image_id for r in rows}),
             "captions": sum(1 for r in rows if not r.is_question),
             "questions": sum(1 for r in rows if r.is_question),
             "pairs": len(rows),
         }
-    stats["all"] = {
-        "images": len({r.image_id for r in records}),
-        "captions": sum(1 for r in records if not r.is_question),
-        "questions": sum(1 for r in records if r.is_question),
-        "pairs": len(records),
-    }
     return stats
 
 
@@ -747,10 +663,10 @@ def generate_pairwise_corpus(
     ids = store.image_ids
     if len(ids) < 2:
         raise ValueError("pairwise corpus needs at least 2 images")
+    n_dev = _dev_count(n_pairs, dev_fraction)
     rng = np.random.default_rng(seed)
     n_labels = len(label_vocab)
     pairs: list[PairRecord] = []
-    n_dev = int(math.ceil(n_pairs * dev_fraction))
     for i in range(n_pairs):
         i0, i1 = rng.choice(len(ids), size=2, replace=False)
         id0, id1 = ids[i0], ids[i1]

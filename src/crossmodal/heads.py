@@ -91,21 +91,33 @@ def masked_lm_loss(lang_out: Tensor, mlm_targets: np.ndarray,
     return cross_entropy(logits, picked), count
 
 
+def masked_object_rows(vis: Tensor, flags: np.ndarray,
+                       active_rows: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
+    """The (k, d) rows of a (B, m, d) ``vis`` at masked objects, row-major.
+
+    An object is picked when its ``flags`` entry is set and, with
+    ``active_rows`` given, its batch row is active. Also returns the
+    flattened (B * m,) selector, to pick the matching targets.
+    """
+    picked = np.asarray(flags, dtype=bool)
+    if active_rows is not None:
+        picked = picked & np.asarray(active_rows, dtype=bool)[:, None]
+    picked = picked.reshape(-1)
+    b, m, d = vis.shape
+    return vis.reshape((b * m, d))[picked], picked
+
+
 def roi_feature_regression_loss(vis_out: Tensor, mask_flags: np.ndarray,
                                 regression_targets: np.ndarray,
                                 params: dict[str, Tensor],
                                 active_rows: np.ndarray | None = None) -> tuple[Tensor, int]:
     """Sum-of-squares feature error per masked object, averaged over objects."""
-    flags = np.asarray(mask_flags, dtype=bool)
-    if active_rows is not None:
-        flags = flags & np.asarray(active_rows, dtype=bool)[:, None]
-    count = int(flags.sum())
+    rows, picked = masked_object_rows(vis_out, mask_flags, active_rows)
+    count = int(picked.sum())
     if count == 0:
         return _zero_loss(vis_out), 0
-    b, m, d = vis_out.shape
-    rows = vis_out.reshape((b * m, d))[flags.reshape(-1)]
     pred = head_logits(rows, params, "head.obj_feat")
-    target = np.asarray(regression_targets).reshape(b * m, -1)[flags.reshape(-1)]
+    target = np.asarray(regression_targets).reshape(picked.shape[0], -1)[picked]
     diff = pred - tensor(target, dtype=pred.data.dtype)
     return tsum(diff * diff) / count, count
 
@@ -115,17 +127,12 @@ def detected_label_loss(vis_out: Tensor, mask_flags: np.ndarray,
                         params: dict[str, Tensor],
                         active_rows: np.ndarray | None = None) -> tuple[Tensor, int]:
     """Cross-entropy on detector labels at masked object positions."""
-    flags = np.asarray(mask_flags, dtype=bool)
-    if active_rows is not None:
-        flags = flags & np.asarray(active_rows, dtype=bool)[:, None]
-    count = int(flags.sum())
+    rows, picked = masked_object_rows(vis_out, mask_flags, active_rows)
+    count = int(picked.sum())
     if count == 0:
         return _zero_loss(vis_out), 0
-    b, m, d = vis_out.shape
-    rows = vis_out.reshape((b * m, d))[flags.reshape(-1)]
     logits = head_logits(rows, params, "head.obj_label")
-    picked = np.asarray(detected_labels).reshape(-1)[flags.reshape(-1)]
-    return cross_entropy(logits, picked), count
+    return cross_entropy(logits, np.asarray(detected_labels).reshape(-1)[picked]), count
 
 
 def match_loss(cls_out: Tensor, match_labels: np.ndarray,
@@ -163,11 +170,13 @@ def pretrain_losses(packed: PackedBatch, outputs: ModelOutputs,
 
     ``qa_enabled=False`` forces the QA term to zero (phase-1 pre-training).
     ``gate_object_tasks`` restricts the two object sub-tasks to matched rows.
+    The feature-regression target is ``packed.roi_features``, which holds the
+    unmasked features; only the embedder zeroes the masked ones.
     """
     active_rows = (packed.match_labels == 1) if gate_object_tasks else None
     mlm, n_mlm = masked_lm_loss(outputs.lang, packed.mlm_targets, params)
     feat, n_obj = roi_feature_regression_loss(
-        outputs.vis, packed.obj_mask_flags, packed.regression_targets, params, active_rows)
+        outputs.vis, packed.obj_mask_flags, packed.roi_features, params, active_rows)
     label, _ = detected_label_loss(
         outputs.vis, packed.obj_mask_flags, packed.detected_labels, params, active_rows)
     match, n_match = match_loss(outputs.cls, packed.match_labels, params)

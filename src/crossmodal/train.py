@@ -27,23 +27,23 @@ from .data import (
     OUT_OF_TABLE,
     AnswerTable,
     BatchMaker,
-    BatchRow,
     CorpusRecord,
     CrossModalBatch,
     FeatureStore,
     MaskingConfig,
-    ObjectSet,
+    PackedBatch,
     PairRecord,
     Vocabulary,
     build_answer_table,
     collate,
     load_corpus,
     load_pairs,
-    tokenize,
+    plain_row,
 )
 from .encoders import EVAL, Runtime, forward_batch
 from .heads import (
     head_logits,
+    masked_object_rows,
     pairwise_bce,
     pairwise_forward,
     pairwise_logit,
@@ -300,15 +300,7 @@ def run_pretraining(bundle: DataBundle, run_cfg: RunConfig, seed: int, out_dir,
 # evaluation
 
 
-def _plain_row(record: CorpusRecord, store: FeatureStore, vocab: Vocabulary,
-               cfg: ModelConfig, answer_index: int = OUT_OF_TABLE) -> BatchRow:
-    seq = tokenize(record.sentence, vocab, cfg.max_sentence_len, cfg.use_sep)
-    seq.mlm_targets = np.full(seq.token_ids.shape, -1, dtype=np.int64)
-    feats, boxes, labels = store.get(record.image_id)
-    objects = ObjectSet(feats, boxes, labels.astype(np.int64),
-                        mask_flags=np.zeros(store.m, dtype=bool),
-                        regression_targets=feats)
-    return BatchRow(seq, objects, True, answer_index, record.is_question)
+_EVAL_BATCH = 32
 
 
 def _batched(items, size):
@@ -324,30 +316,53 @@ def _eval_split(bundle: DataBundle) -> list[CorpusRecord]:
     return bundle.split("dev") or bundle.split("train")
 
 
+def _qa_batch(questions: list[CorpusRecord], bundle: DataBundle, cfg: ModelConfig,
+              table: AnswerTable) -> PackedBatch:
+    rows = [plain_row(r.image_id, r.sentence, bundle.store, bundle.vocab, cfg,
+                      is_question=r.is_question, answer_index=table.lookup(r.answer))
+            for r in questions]
+    return collate(CrossModalBatch(rows), bundle.vocab)
+
+
+def _accuracy(packed_batches, params: dict[str, Tensor], cfg: ModelConfig, head: str,
+              pick) -> tuple[int, int]:
+    """Argmax hits of ``head`` over ``packed_batches``, and the number scored.
+
+    ``pick(packed, outputs)`` returns the head's input rows for a batch and
+    their true classes.
+    """
+    hits = total = 0
+    for packed in packed_batches:
+        x, truth = pick(packed, forward_batch(packed, params, cfg))
+        hits += int((head_logits(x, params, head).data.argmax(axis=1) == truth).sum())
+        total += len(truth)
+    return hits, total
+
+
+def _masked_labels(packed: PackedBatch, out) -> tuple[Tensor, np.ndarray]:
+    rows, picked = masked_object_rows(out.vis, packed.obj_mask_flags)
+    return rows, packed.detected_labels.reshape(-1)[picked]
+
+
 def _qa_accuracy(params: dict[str, Tensor], cfg: ModelConfig, bundle: DataBundle,
-                 table: AnswerTable, batch_size: int = 32) -> tuple[float, int]:
+                 table: AnswerTable) -> tuple[float, int]:
     """QA accuracy over matched, in-table held-out questions, and their count."""
     questions = [r for r in _eval_split(bundle)
                  if r.is_question and table.lookup(r.answer) != OUT_OF_TABLE]
-    hits = 0
-    for chunk in _batched(questions, batch_size):
-        rows = [_plain_row(r, bundle.store, bundle.vocab, cfg, table.lookup(r.answer))
-                for r in chunk]
-        packed = collate(CrossModalBatch(rows), bundle.vocab)
-        out = forward_batch(packed, params, cfg)
-        logits = head_logits(out.cls, params, "head.qa").data
-        hits += int((logits.argmax(axis=1) == packed.answer_indices).sum())
-    return _ratio(hits, len(questions)), len(questions)
+    batches = (_qa_batch(chunk, bundle, cfg, table) for chunk in _batched(questions, _EVAL_BATCH))
+    hits, total = _accuracy(batches, params, cfg, "head.qa",
+                            lambda packed, out: (out.cls, packed.answer_indices))
+    return _ratio(hits, total), total
 
 
-def evaluate_checkpoint(ckpt: Checkpoint, bundle: DataBundle, seed: int,
-                        batch_size: int = 32,
-                        masking: MaskingConfig | None = None) -> dict:
+def evaluate_checkpoint(ckpt: Checkpoint, bundle: DataBundle, seed: int) -> dict:
     """Held-out metrics: matching accuracy, masked-label accuracy, QA accuracy.
 
-    The matching pass needs at least two distinct images to draw mismatched
-    rows from; on a split with fewer it is skipped (``match_n`` 0,
-    ``match_accuracy`` NaN) and the other two passes still run.
+    The matching pass mismatches half the rows and masks nothing; the
+    masked-label pass masks 15% of the objects. The matching pass needs at
+    least two distinct images to draw mismatched rows from; on a split with
+    fewer it is skipped (``match_n`` 0, ``match_accuracy`` NaN) and the
+    other two passes still run.
     """
     cfg = ckpt.config
     if len(bundle.vocab) != cfg.vocab_size:
@@ -359,39 +374,21 @@ def evaluate_checkpoint(ckpt: Checkpoint, bundle: DataBundle, seed: int,
     dev = _eval_split(bundle)
     params = ckpt.params
     rng = np.random.default_rng(seed)
-    masking = masking or MaskingConfig()
 
-    # matching: mismatch half the rows, nothing else perturbed
-    match_cfg = MaskingConfig(word_mask_prob=0.0, object_mask_prob=0.0,
-                              mismatch_prob=masking.mismatch_prob or 0.5)
+    def batches(masking: MaskingConfig):
+        maker = BatchMaker(dev, bundle.store, bundle.vocab, table, masking, cfg)
+        return (collate(maker.make_batch(chunk, rng), bundle.vocab)
+                for chunk in _batched(dev, _EVAL_BATCH))
+
     match_hits = match_total = 0
     if len({r.image_id for r in dev}) >= 2:
-        maker = BatchMaker(dev, bundle.store, bundle.vocab, table, match_cfg, cfg)
-        for chunk in _batched(dev, batch_size):
-            packed = collate(maker.make_batch(chunk, rng), bundle.vocab)
-            out = forward_batch(packed, params, cfg)
-            logits = head_logits(out.cls, params, "head.match").data
-            match_hits += int((logits.argmax(axis=1) == packed.match_labels).sum())
-            match_total += packed.size
-
-    # masked detected-label accuracy
-    label_cfg = MaskingConfig(word_mask_prob=0.0, mismatch_prob=0.0,
-                              object_mask_prob=max(masking.object_mask_prob, 0.15))
-    maker = BatchMaker(dev, bundle.store, bundle.vocab, table, label_cfg, cfg)
-    label_hits = label_total = 0
-    for chunk in _batched(dev, batch_size):
-        packed = collate(maker.make_batch(chunk, rng), bundle.vocab)
-        out = forward_batch(packed, params, cfg)
-        flags = packed.obj_mask_flags.reshape(-1)
-        if not flags.any():
-            continue
-        b, m, d = out.vis.shape
-        logits = head_logits(out.vis.reshape((b * m, d))[flags], params, "head.obj_label").data
-        truth = packed.detected_labels.reshape(-1)[flags]
-        label_hits += int((logits.argmax(axis=1) == truth).sum())
-        label_total += int(flags.sum())
-
-    qa_accuracy, qa_total = _qa_accuracy(params, cfg, bundle, table, batch_size)
+        match_hits, match_total = _accuracy(
+            batches(MaskingConfig(word_mask_prob=0.0, object_mask_prob=0.0, mismatch_prob=0.5)),
+            params, cfg, "head.match", lambda packed, out: (out.cls, packed.match_labels))
+    label_hits, label_total = _accuracy(
+        batches(MaskingConfig(word_mask_prob=0.0, mismatch_prob=0.0, object_mask_prob=0.15)),
+        params, cfg, "head.obj_label", _masked_labels)
+    qa_accuracy, qa_total = _qa_accuracy(params, cfg, bundle, table)
     return {
         "match_accuracy": _ratio(match_hits, match_total),
         "match_n": match_total,
@@ -451,9 +448,7 @@ def run_finetune_qa(ckpt: Checkpoint, bundle: DataBundle, run_cfg: RunConfig,
     rt = Runtime(training=True, rng=train_rng)
 
     def step_loss(chunk, _phase2):
-        rows = [_plain_row(r, bundle.store, bundle.vocab, cfg, table.lookup(r.answer))
-                for r in chunk]
-        packed = collate(CrossModalBatch(rows), bundle.vocab)
+        packed = _qa_batch(chunk, bundle, cfg, table)
         out = forward_batch(packed, params, cfg, rt)
         loss, _ = qa_loss(out.cls, packed.answer_indices, packed.match_labels,
                           packed.is_question, params)
@@ -476,14 +471,9 @@ def run_finetune_qa(ckpt: Checkpoint, bundle: DataBundle, run_cfg: RunConfig,
 
 def _pair_rows(pairs: list[PairRecord], store: FeatureStore, vocab: Vocabulary,
                cfg: ModelConfig):
-    packed0, packed1, labels = [], [], []
-    for p in pairs:
-        r0 = CorpusRecord(p.image_id_0, p.sentence, False, None, p.split)
-        r1 = CorpusRecord(p.image_id_1, p.sentence, False, None, p.split)
-        packed0.append(_plain_row(r0, store, vocab, cfg))
-        packed1.append(_plain_row(r1, store, vocab, cfg))
-        labels.append(int(p.label))
-    return packed0, packed1, np.array(labels, dtype=np.int64)
+    rows0 = [plain_row(p.image_id_0, p.sentence, store, vocab, cfg) for p in pairs]
+    rows1 = [plain_row(p.image_id_1, p.sentence, store, vocab, cfg) for p in pairs]
+    return rows0, rows1, np.array([int(p.label) for p in pairs], dtype=np.int64)
 
 
 def _pair_cls(pairs: list[PairRecord], params: dict[str, Tensor], cfg: ModelConfig,
@@ -561,7 +551,7 @@ def dump_attention(ckpt: Checkpoint, bundle: DataBundle, index: int, out_path,
         raise ValueError(f"record index {index} out of range [0, {len(rows)})")
     record = rows[index]
     cfg = ckpt.config
-    row = _plain_row(record, bundle.store, bundle.vocab, cfg)
+    row = plain_row(record.image_id, record.sentence, bundle.store, bundle.vocab, cfg)
     out = forward_batch(collate(CrossModalBatch([row]), bundle.vocab), ckpt.params, cfg)
 
     token_labels = [bundle.vocab.token_of(int(t)) for t in row.tokens.token_ids]

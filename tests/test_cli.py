@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from crossmodal.cli import main
+from crossmodal.data import FeatureStore, load_corpus
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +37,33 @@ def test_gen_data_writes_expected_files(data_dir):
     for name in ("corpus.jsonl", "features.bin", "vocab.json", "labels.json",
                  "pairs.jsonl", "config.json"):
         assert os.path.exists(data_dir / name), name
+
+
+def test_gen_data_with_more_than_twelve_objects_writes_true_counts(tmp_path):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"model": {"objects_per_image": 20}}))
+    out = tmp_path / "data"
+    assert main(["gen-data", "--config", str(cfg_path), "--out", str(out), "--images", "12",
+                 "--pairs", "8", "--seed", "0"]) == 0
+    store = FeatureStore.load(out / "features.bin")
+    labels = json.loads((out / "labels.json").read_text())["labels"]
+    words = ("zero", "one", "two", "three", "four", "five", "six", "seven", "eight", "nine",
+             "ten", "eleven", "twelve")
+    counts = []
+    for r in load_corpus(out / "corpus.jsonl"):
+        if r.sentence.startswith("how many"):
+            count = int((store.get(r.image_id)[2] == labels.index(r.sentence.split()[2])).sum())
+            assert r.answer == (words[count] if count <= 12 else str(count))
+            counts.append(count)
+    assert min(counts) <= 12 < max(counts)
+
+
+@pytest.mark.parametrize("fraction", ["1.5", "-1"])
+def test_gen_data_dev_fraction_outside_unit_interval_is_config_error(fraction, tmp_path, capsys):
+    out = tmp_path / "data"
+    assert main(["gen-data", "--out", str(out), "--images", "8", "--dev-fraction", fraction]) == 2
+    assert "error[config]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_stats_prints_table(data_dir, capsys):

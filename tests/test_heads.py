@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crossmodal.config import MaskingConfig, ModelConfig
 from crossmodal.data import (
@@ -19,6 +20,7 @@ from crossmodal.heads import (
     cross_entropy,
     detected_label_loss,
     masked_lm_loss,
+    masked_object_rows,
     match_loss,
     pretrain_losses,
     qa_loss,
@@ -133,6 +135,21 @@ def test_roi_regression_hand_value_sum_of_squares():
     loss, count = roi_feature_regression_loss(vis, flags, targets, params)
     assert count == 1
     assert abs(loss.item() - 9.0) < 1e-6
+
+
+@settings(max_examples=200, deadline=None)
+@given(b=st.integers(1, 4), m=st.integers(1, 5), d=st.integers(1, 3), data=st.data())
+def test_masked_object_rows_picks_flagged_objects_of_active_rows(b, m, d, data):
+    flags = np.array(data.draw(st.lists(st.booleans(), min_size=b * m, max_size=b * m)),
+                     dtype=bool).reshape(b, m)
+    active = data.draw(st.none() | st.lists(st.booleans(), min_size=b, max_size=b).map(np.array))
+    vis = Tensor(np.arange(b * m * d, dtype=np.float64).reshape(b, m, d))
+    rows, picked = masked_object_rows(vis, flags, active)
+    expected = [vis.data[i, j] for i in range(b) for j in range(m)
+                if flags[i, j] and (active is None or active[i])]
+    assert rows.shape == (len(expected), d)
+    assert np.array_equal(rows.data, np.array(expected).reshape(len(expected), d))
+    assert int(picked.sum()) == len(expected)
 
 
 def test_label_loss_values():
