@@ -6,7 +6,6 @@ from .config import (
     ModelConfig,
     RunConfig,
     ScheduleConfig,
-    desk_model,
     full_scale_model,
 )
 from .encoders import Runtime, forward_batch
@@ -27,7 +26,6 @@ __all__ = [
     "Tape",
     "Tensor",
     "backward",
-    "desk_model",
     "forward_batch",
     "full_scale_model",
     "init_params",

@@ -195,54 +195,56 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None) -> Checkpo
 
     The stored tensors are always validated against the stored config's
     layout. When ``expected_config`` is given, they are validated against
-    that config instead, so architectural mismatches fail loudly.
+    that config instead, so architectural mismatches fail loudly. Bytes that
+    do not decode or parse, including stored JSON that does not build a
+    ModelConfig or OptimizerState, raise ``CheckpointFormatError``.
     """
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise CheckpointFormatError(f"not a checkpoint file (magic {magic!r})")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4))
-        if version != VERSION:
-            raise CheckpointVersionError(
-                f"checkpoint format version {version}, this build reads {VERSION}"
-            )
-        (hdr_len,) = struct.unpack("<I", _read_exact(fh, 4))
-        try:
+    try:
+        with open(path, "rb") as fh:
+            magic = fh.read(4)
+            if magic != MAGIC:
+                raise CheckpointFormatError(f"not a checkpoint file (magic {magic!r})")
+            (version,) = struct.unpack("<I", _read_exact(fh, 4))
+            if version != VERSION:
+                raise CheckpointVersionError(
+                    f"checkpoint format version {version}, this build reads {VERSION}"
+                )
+            (hdr_len,) = struct.unpack("<I", _read_exact(fh, 4))
             header = json.loads(_read_exact(fh, hdr_len).decode("utf-8"))
-        except json.JSONDecodeError as exc:
-            raise CheckpointFormatError(f"corrupt header JSON: {exc}") from exc
-        (rng_len,) = struct.unpack("<I", _read_exact(fh, 4))
-        rng_state = json.loads(_read_exact(fh, rng_len).decode("utf-8"))
+            (rng_len,) = struct.unpack("<I", _read_exact(fh, 4))
+            rng_state = json.loads(_read_exact(fh, rng_len).decode("utf-8"))
 
-        known = {f.name for f in fields(ModelConfig)}
-        stored_model = {k: v for k, v in header.get("model", {}).items() if k in known}
-        config = ModelConfig(**stored_model)
-        heads = tuple(header.get("heads", ()))
-        extra = header.get("extra", {})
+            known = {f.name for f in fields(ModelConfig)}
+            stored_model = {k: v for k, v in header.get("model", {}).items() if k in known}
+            config = ModelConfig(**stored_model)
+            heads = tuple(header.get("heads", ()))
+            extra = header.get("extra", {})
 
-        (n_tensors,) = struct.unpack("<I", _read_exact(fh, 4))
-        raw_params: dict[str, np.ndarray] = {}
-        for _ in range(n_tensors):
-            name, data = _read_tensor(fh)
-            raw_params[name] = data
-
-        opt_state = None
-        (opt_flag,) = struct.unpack("<B", _read_exact(fh, 1))
-        if opt_flag:
-            (opt_len,) = struct.unpack("<I", _read_exact(fh, 4))
-            opt_meta = json.loads(_read_exact(fh, opt_len).decode("utf-8"))
-            (n_moments,) = struct.unpack("<I", _read_exact(fh, 4))
-            m: dict[str, np.ndarray] = {}
-            v: dict[str, np.ndarray] = {}
-            for _ in range(n_moments):
+            (n_tensors,) = struct.unpack("<I", _read_exact(fh, 4))
+            raw_params: dict[str, np.ndarray] = {}
+            for _ in range(n_tensors):
                 name, data = _read_tensor(fh)
-                if name.startswith("m."):
-                    m[name[2:]] = data
-                elif name.startswith("v."):
-                    v[name[2:]] = data
-                else:
-                    raise CheckpointFormatError(f"unexpected moment tensor {name!r}")
-            opt_state = OptimizerState(m=m, v=v, **opt_meta)
+                raw_params[name] = data
+
+            opt_state = None
+            (opt_flag,) = struct.unpack("<B", _read_exact(fh, 1))
+            if opt_flag:
+                (opt_len,) = struct.unpack("<I", _read_exact(fh, 4))
+                opt_meta = json.loads(_read_exact(fh, opt_len).decode("utf-8"))
+                (n_moments,) = struct.unpack("<I", _read_exact(fh, 4))
+                m: dict[str, np.ndarray] = {}
+                v: dict[str, np.ndarray] = {}
+                for _ in range(n_moments):
+                    name, data = _read_tensor(fh)
+                    if name.startswith("m."):
+                        m[name[2:]] = data
+                    elif name.startswith("v."):
+                        v[name[2:]] = data
+                    else:
+                        raise CheckpointFormatError(f"unexpected moment tensor {name!r}")
+                opt_state = OptimizerState(m=m, v=v, **opt_meta)
+    except (ValueError, TypeError, struct.error) as exc:
+        raise CheckpointFormatError(f"corrupt checkpoint {path}: {exc}") from exc
 
     layout = _validate_layout(raw_params, expected_config or config, heads)
     # in layout order, as init_params makes them, so a loaded model packs

@@ -11,6 +11,7 @@ from .checkpoint import CheckpointError, load_checkpoint
 from .config import RunConfig, load_run_config, save_run_config
 from .data import (
     DEFAULT_LABELS,
+    CorpusFormatError,
     FeatureStoreError,
     Vocabulary,
     corpus_stats,
@@ -152,10 +153,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, out_required=True):
+    def common(sp):
         sp.add_argument("--config", default=None, help="JSON run config (defaults used when omitted)")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--out", required=out_required, help="output path")
+        sp.add_argument("--out", required=True, help="output path")
 
     sp = sub.add_parser("gen-data", help="generate a synthetic corpus and feature store")
     common(sp)
@@ -169,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("stats", help="corpus statistics table")
     sp.add_argument("--data", default=None, help="gen-data output directory")
     sp.add_argument("--corpus", default=None, help="corpus file (overrides --data)")
-    sp.set_defaults(fn=cmd_stats, config=None, seed=0, out=None)
+    sp.set_defaults(fn=cmd_stats)
 
     sp = sub.add_parser("pretrain", help="run two-phase pre-training")
     common(sp)
@@ -194,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_finetune)
 
     sp = sub.add_parser("evaluate", help="held-out metrics for a checkpoint")
-    sp.add_argument("--config", default=None)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None)
     sp.add_argument("--data", required=True)
@@ -202,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_evaluate)
 
     sp = sub.add_parser("dump-attention", help="write every attention matrix for one pair")
-    common(sp)
+    sp.add_argument("--out", required=True, help="output path")
     sp.add_argument("--data", required=True)
     sp.add_argument("--checkpoint", required=True)
     sp.add_argument("--index", type=int, default=0)
@@ -225,7 +225,8 @@ def main(argv=None) -> int:
     except CheckpointError as exc:
         print(f"error[checkpoint]: {exc}", file=sys.stderr)
         return EXIT_CHECKPOINT
-    except (FeatureStoreError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (FeatureStoreError, CorpusFormatError, KeyError, OSError,
+            json.JSONDecodeError) as exc:
         print(f"error[data]: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:

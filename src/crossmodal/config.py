@@ -28,16 +28,6 @@ class ModelConfig:
     objects_per_image: int = 8
     dropout: float = 0.1
     ln_eps: float = 1e-12
-    use_sep: bool = True
-    init_std: float | None = None  # None: 1/sqrt(hidden_size)
-
-    @property
-    def head_dim(self) -> int:
-        return self.hidden_size // self.num_heads
-
-    @property
-    def weight_init_std(self) -> float:
-        return self.init_std if self.init_std is not None else self.hidden_size ** -0.5
 
     def validate(self) -> "ModelConfig":
         counts = {
@@ -47,15 +37,14 @@ class ModelConfig:
             "hidden_size": self.hidden_size,
             "num_heads": self.num_heads,
             "feat_dim": self.feat_dim,
-            "max_sentence_len": self.max_sentence_len,
             "objects_per_image": self.objects_per_image,
         }
         for name, value in counts.items():
             if value < 1:
                 raise ValueError(f"config field {name} must be >= 1, got {value}")
-        if self.use_sep and self.max_sentence_len < 2:
+        if self.max_sentence_len < 2:
             raise ValueError(
-                f"max_sentence_len must be >= 2 with use_sep, got {self.max_sentence_len}"
+                f"max_sentence_len must be >= 2 ([CLS] and [SEP]), got {self.max_sentence_len}"
             )
         if self.hidden_size % self.num_heads != 0:
             raise ValueError(
@@ -65,17 +54,10 @@ class ModelConfig:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.ln_eps <= 0:
             raise ValueError("ln_eps must be positive")
-        if self.init_std is not None and self.init_std <= 0:
-            raise ValueError("init_std must be positive when set")
         for name in ("vocab_size", "num_labels", "num_answers"):
             if getattr(self, name) < 0:
                 raise ValueError(f"config field {name} must be >= 0")
         return self
-
-
-def desk_model() -> ModelConfig:
-    """Small preset that trains in minutes on one CPU core."""
-    return ModelConfig()
 
 
 def full_scale_model() -> ModelConfig:
@@ -97,9 +79,6 @@ class MaskingConfig:
     """Masking and pair-corruption probabilities for batch assembly."""
 
     word_mask_prob: float = 0.15
-    mask_token_frac: float = 0.8
-    random_token_frac: float = 0.1
-    keep_frac: float = 0.1
     object_mask_prob: float = 0.15
     mismatch_prob: float = 0.5
 
@@ -108,10 +87,15 @@ class MaskingConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
-        split = self.mask_token_frac + self.random_token_frac + self.keep_frac
-        if abs(split - 1.0) > 1e-9:
-            raise ValueError(f"mask resolution split must sum to 1, got {split}")
         return self
+
+
+def _check_warmup_and_clip(section: str, warmup_fraction: float, clip_norm: float | None) -> None:
+    if not 0.0 <= warmup_fraction < 1.0:
+        raise ValueError(f"{section}.warmup_fraction must be in [0, 1), got {warmup_fraction}")
+    if clip_norm is not None and not clip_norm > 0:
+        # a negative bound would scale every clipped gradient by a negative factor
+        raise ValueError(f"{section}.clip_norm must be null or > 0, got {clip_norm}")
 
 
 @dataclass
@@ -134,18 +118,12 @@ class ScheduleConfig:
             raise ValueError("epochs and batch_size must be >= 1")
         if self.peak_lr <= 0:
             raise ValueError("peak_lr must be positive")
-        if not 0.0 <= self.warmup_fraction < 1.0:
-            raise ValueError("warmup_fraction must be in [0, 1)")
+        _check_warmup_and_clip("schedule", self.warmup_fraction, self.clip_norm)
         if not 0.0 <= self.qa_start_fraction <= 1.0:
             raise ValueError("qa_start_fraction must be in [0, 1]")
         if not 0.0 < self.answer_coverage <= 1.0:
             raise ValueError("answer_coverage must be in (0, 1]")
         return self
-
-
-def full_scale_schedule() -> ScheduleConfig:
-    """Reference schedule at full scale: 20 epochs, batch 256, peak lr 1e-4."""
-    return ScheduleConfig(epochs=20, batch_size=256, peak_lr=1e-4, answer_coverage=0.9)
 
 
 @dataclass
@@ -162,6 +140,7 @@ class FinetuneConfig:
     def validate(self) -> "FinetuneConfig":
         if self.lr <= 0 or self.batch_size < 1 or self.epochs < 1:
             raise ValueError("finetune lr/batch_size/epochs out of range")
+        _check_warmup_and_clip("finetune", self.warmup_fraction, self.clip_norm)
         return self
 
 

@@ -31,6 +31,10 @@ SPECIAL_TOKENS = (PAD, UNK, CLS, SEP, MASK)
 
 OUT_OF_TABLE = -1
 
+# how a masked word slot resolves (BERT): [MASK], a random word, else unchanged
+_MASK_TOKEN_FRAC = 0.8
+_RANDOM_TOKEN_FRAC = 0.1
+
 _WORD_RE = re.compile(r"[a-z0-9]+|[^\sa-z0-9]")
 
 
@@ -137,6 +141,10 @@ class CorpusRecord:
         return self
 
 
+class CorpusFormatError(ValueError):
+    """A corpus or pair file line that is not a record of the documented types."""
+
+
 def _save_jsonl(rows, path) -> None:
     """One JSON object per line, in order."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -145,10 +153,24 @@ def _save_jsonl(rows, path) -> None:
             fh.write("\n")
 
 
-def _load_jsonl(path) -> list[dict]:
-    """The JSON object on each non-blank line."""
+def _load_jsonl(path, types: dict[str, tuple[type, ...]]) -> list[dict]:
+    """The JSON object on each non-blank line; each field named in ``types``
+    that the object holds must be an instance of one of its types."""
+    rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+        for n, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            row = json.loads(line)
+            if not isinstance(row, dict):
+                raise CorpusFormatError(f"{path} line {n}: not a JSON object")
+            for name, allowed in types.items():
+                if name in row and not isinstance(row[name], allowed):
+                    raise CorpusFormatError(
+                        f"{path} line {n}: {name} must be "
+                        f"{' or '.join(t.__name__ for t in allowed)}, got {row[name]!r}")
+            rows.append(row)
+    return rows
 
 
 def save_corpus(records, path) -> None:
@@ -156,9 +178,11 @@ def save_corpus(records, path) -> None:
 
 
 def load_corpus(path) -> list[CorpusRecord]:
-    return [CorpusRecord(d["image_id"], d["sentence"], bool(d["is_question"]),
+    types = {"image_id": (str,), "sentence": (str,), "is_question": (bool,),
+             "answer": (str, type(None)), "split": (str,)}
+    return [CorpusRecord(d["image_id"], d["sentence"], d["is_question"],
                          d.get("answer"), d.get("split", "train")).validate()
-            for d in _load_jsonl(path)]
+            for d in _load_jsonl(path, types)]
 
 
 @dataclass
@@ -177,9 +201,11 @@ def save_pairs(pairs, path) -> None:
 
 
 def load_pairs(path) -> list[PairRecord]:
+    types = {"image_id_0": (str,), "image_id_1": (str,), "sentence": (str,),
+             "label": (bool,), "split": (str,)}
     return [PairRecord(d["image_id_0"], d["image_id_1"], d["sentence"],
-                       bool(d["label"]), d.get("split", "train"))
-            for d in _load_jsonl(path)]
+                       d["label"], d.get("split", "train"))
+            for d in _load_jsonl(path, types)]
 
 
 @dataclass
@@ -226,16 +252,12 @@ class ObjectSet:
         return int(self.roi_features.shape[0])
 
 
-def tokenize(sentence: str, vocab: Vocabulary, max_len: int, use_sep: bool = True) -> TokenSequence:
+def tokenize(sentence: str, vocab: Vocabulary, max_len: int) -> TokenSequence:
     """Tokenize into [CLS] words... [SEP], truncated to ``max_len`` ids."""
-    reserved = 2 if use_sep else 1
-    if max_len < reserved:
-        raise ValueError(f"max_len must be >= {reserved} with use_sep={use_sep}, got {max_len}")
-    words = split_words(sentence)
-    budget = max_len - reserved
-    ids = [vocab.cls_id] + [vocab.id_of(w) for w in words[:budget]]
-    if use_sep:
-        ids.append(vocab.sep_id)
+    if max_len < 2:
+        raise ValueError(f"max_len must be >= 2 ([CLS] and [SEP]), got {max_len}")
+    words = split_words(sentence)[:max_len - 2]
+    ids = [vocab.cls_id] + [vocab.id_of(w) for w in words] + [vocab.sep_id]
     return TokenSequence(np.array(ids, dtype=np.int64))
 
 
@@ -265,12 +287,6 @@ class FeatureStore:
         self.feat_dim = int(feat_dim)
         self._images: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-    def __len__(self) -> int:
-        return len(self._images)
-
-    def __contains__(self, image_id: str) -> bool:
-        return image_id in self._images
-
     @property
     def image_ids(self) -> list[str]:
         return list(self._images.keys())
@@ -290,13 +306,6 @@ class FeatureStore:
             return self._images[image_id]
         except KeyError:
             raise KeyError(f"image id {image_id!r} not in feature store") from None
-
-    def num_labels(self) -> int:
-        top = 0
-        for _, _, labels in self._images.values():
-            if labels.size:
-                top = max(top, int(labels.max()) + 1)
-        return top
 
     def save(self, path) -> None:
         with open(path, "wb") as fh:
@@ -358,7 +367,7 @@ def plain_row(image_id: str, sentence: str, store: FeatureStore, vocab: Vocabula
     """A matched row with no word or object masked: the row evaluation,
     fine-tuning and attention dumps feed the model, and the row
     ``BatchMaker.make_row`` masks."""
-    seq = tokenize(sentence, vocab, model.max_sentence_len, model.use_sep)
+    seq = tokenize(sentence, vocab, model.max_sentence_len)
     seq.mlm_targets = np.full(seq.token_ids.shape, -1, dtype=np.int64)
     feats, boxes, labels = store.get(image_id)
     return BatchRow(seq, ObjectSet(feats, boxes, labels.astype(np.int64)), True,
@@ -417,9 +426,9 @@ class BatchMaker:
                 continue
             targets[i] = ids[i]
             u = rng.random()
-            if u < cfg.mask_token_frac:
+            if u < _MASK_TOKEN_FRAC:
                 ids[i] = vocab.mask_id
-            elif u < cfg.mask_token_frac + cfg.random_token_frac:
+            elif u < _MASK_TOKEN_FRAC + _RANDOM_TOKEN_FRAC:
                 ids[i] = int(rng.integers(vocab.n_special, len(vocab)))
             # else: keep the original token, target still recorded
         row.objects.mask_flags = rng.random(self.store.m) < cfg.object_mask_prob
@@ -574,6 +583,9 @@ def generate_synthetic_corpus(
     """
     if len(label_vocab) < _LABELS_PER_IMAGE:
         raise ValueError(f"label_vocab needs at least {_LABELS_PER_IMAGE} labels")
+    if objects_per_image < _LABELS_PER_IMAGE:
+        raise ValueError(f"objects_per_image must be >= {_LABELS_PER_IMAGE} (the size of "
+                         f"each image's label pool), got {objects_per_image}")
     n_dev = _dev_count(n_images, dev_fraction)
     rng = np.random.default_rng(seed)
     n_labels = len(label_vocab)

@@ -57,11 +57,9 @@ class OptimizerState:
 
     @classmethod
     def init(cls, params: dict[str, Tensor], peak_lr: float, warmup_fraction: float,
-             total_steps: int, beta1: float = 0.9, beta2: float = 0.999,
-             eps: float = 1e-8) -> "OptimizerState":
+             total_steps: int) -> "OptimizerState":
         return cls(
             m=_zero_moments(params), v=_zero_moments(params),
-            beta1=beta1, beta2=beta2, eps=eps,
             peak_lr=peak_lr, warmup_fraction=warmup_fraction, total_steps=total_steps,
         )
 

@@ -16,11 +16,10 @@ PRETRAIN_HEADS = "pretrain"
 PAIRWISE_HEAD = "pairwise"
 
 
-def trunc_normal(rng: np.random.Generator, shape, std: float,
-                 bound: float = 2.0) -> np.ndarray:
-    """Normal(0, std) redrawn until every sample lies within bound*std."""
+def trunc_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
+    """Normal(0, std) redrawn until every sample lies within 2*std."""
     x = rng.normal(0.0, std, size=shape)
-    limit = bound * std
+    limit = 2.0 * std
     bad = np.abs(x) > limit
     while bad.any():
         x[bad] = rng.normal(0.0, std, size=int(bad.sum()))
@@ -133,10 +132,10 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator,
                 heads: tuple[str, ...] = (PRETRAIN_HEADS,)) -> dict[str, Tensor]:
     """Truncated-normal weights, zero biases, unit layer-norm gains.
 
-    The weight std defaults to 1/sqrt(hidden_size) so attention sub-layers
-    carry O(1) signal at any width; set ``cfg.init_std`` to pin a value.
+    The weight std is 1/sqrt(hidden_size), so attention sub-layers carry
+    O(1) signal at any width.
     """
-    return _init_layout(parameter_layout(cfg, heads), rng, cfg.weight_init_std)
+    return _init_layout(parameter_layout(cfg, heads), rng, cfg.hidden_size ** -0.5)
 
 
 def init_head_params(cfg: ModelConfig, rng: np.random.Generator, head: str) -> dict[str, Tensor]:
@@ -144,4 +143,4 @@ def init_head_params(cfg: ModelConfig, rng: np.random.Generator, head: str) -> d
     base = parameter_layout(cfg, heads=())
     layout = {name: shape for name, shape in parameter_layout(cfg, heads=(head,)).items()
               if name not in base}
-    return _init_layout(layout, rng, cfg.weight_init_std)
+    return _init_layout(layout, rng, cfg.hidden_size ** -0.5)

@@ -78,29 +78,27 @@ def load_data_dir(path) -> DataBundle:
     records = load_corpus(os.path.join(path, CORPUS_FILE))
     store = FeatureStore.load(os.path.join(path, FEATURES_FILE))
     vocab = Vocabulary.load(os.path.join(path, VOCAB_FILE))
-    labels_path = os.path.join(path, LABELS_FILE)
-    if os.path.exists(labels_path):
-        with open(labels_path, "r", encoding="utf-8") as fh:
-            label_names = json.load(fh)["labels"]
-    else:
-        label_names = [f"label{i}" for i in range(store.num_labels())]
+    with open(os.path.join(path, LABELS_FILE), "r", encoding="utf-8") as fh:
+        label_names = json.load(fh)["labels"]
     pairs_path = os.path.join(path, PAIRS_FILE)
     pairs = load_pairs(pairs_path) if os.path.exists(pairs_path) else None
     return DataBundle(records, store, vocab, label_names, pairs)
 
 
+def _check_data(cfg: ModelConfig, bundle: DataBundle) -> None:
+    """Reject a data directory whose vocabulary, objects per image or feature
+    width differ from the model's."""
+    for name, found in (("vocab_size", len(bundle.vocab)),
+                        ("objects_per_image", bundle.store.m),
+                        ("feat_dim", bundle.store.feat_dim)):
+        if found != getattr(cfg, name):
+            raise ValueError(f"data directory has {name} {found}, "
+                             f"the model has {getattr(cfg, name)}")
+
+
 def resolve_model_config(model: ModelConfig, bundle: DataBundle,
                          answer_coverage: float) -> tuple[ModelConfig, AnswerTable]:
     """Fill the data-derived config fields and check corpus compatibility."""
-    if bundle.store.m != model.objects_per_image:
-        raise ValueError(
-            f"feature store holds {bundle.store.m} objects per image, "
-            f"config expects {model.objects_per_image}"
-        )
-    if bundle.store.feat_dim != model.feat_dim:
-        raise ValueError(
-            f"feature store feat_dim {bundle.store.feat_dim} != config feat_dim {model.feat_dim}"
-        )
     table = build_answer_table(bundle.split("train"), answer_coverage)
     cfg = replace(
         model,
@@ -108,7 +106,14 @@ def resolve_model_config(model: ModelConfig, bundle: DataBundle,
         num_labels=len(bundle.label_names),
         num_answers=len(table),
     ).validate()
+    _check_data(cfg, bundle)
     return cfg, table
+
+
+def _rngs(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
+    """The init generator and the training generator of a run with ``seed``."""
+    init_seed, train_seed = np.random.SeedSequence(seed).spawn(2)
+    return np.random.default_rng(init_seed), np.random.default_rng(train_seed)
 
 
 def make_initial_checkpoint(run_cfg: RunConfig, bundle: DataBundle, seed: int) -> Checkpoint:
@@ -118,8 +123,8 @@ def make_initial_checkpoint(run_cfg: RunConfig, bundle: DataBundle, seed: int) -
     state a pre-training run with the same seed starts from.
     """
     cfg, table = resolve_model_config(run_cfg.model, bundle, run_cfg.schedule.answer_coverage)
-    init_seed, _ = np.random.SeedSequence(seed).spawn(2)
-    params = init_params(cfg, np.random.default_rng(init_seed), heads=(PRETRAIN_HEADS,))
+    init_rng, _ = _rngs(seed)
+    params = init_params(cfg, init_rng, heads=(PRETRAIN_HEADS,))
     return Checkpoint(config=cfg, heads=(PRETRAIN_HEADS,), params=params,
                       extra={"answers": table.answers, "epoch": 0})
 
@@ -252,9 +257,7 @@ def run_pretraining(bundle: DataBundle, run_cfg: RunConfig, seed: int, out_dir,
         train_rng = _restore_rng(ckpt.rng_state)
         resume_epoch = int(ckpt.extra["epoch"])
     else:
-        seeds = np.random.SeedSequence(seed).spawn(2)
-        init_rng = np.random.default_rng(seeds[0])
-        train_rng = np.random.default_rng(seeds[1])
+        init_rng, train_rng = _rngs(seed)
         params = init_params(cfg, init_rng, heads=(PRETRAIN_HEADS,))
         total_steps = _total_steps(len(train_records), sched.batch_size, sched.epochs)
         opt = OptimizerState.init(params, sched.peak_lr, sched.warmup_fraction, total_steps)
@@ -365,10 +368,7 @@ def evaluate_checkpoint(ckpt: Checkpoint, bundle: DataBundle, seed: int) -> dict
     other two passes still run.
     """
     cfg = ckpt.config
-    if len(bundle.vocab) != cfg.vocab_size:
-        raise ValueError(
-            f"vocabulary size {len(bundle.vocab)} != checkpoint vocab_size {cfg.vocab_size}"
-        )
+    _check_data(cfg, bundle)
     answers = list((ckpt.extra or {}).get("answers", []))
     table = AnswerTable(answers)
     dev = _eval_split(bundle)
@@ -417,18 +417,14 @@ def run_finetune_qa(ckpt: Checkpoint, bundle: DataBundle, run_cfg: RunConfig,
                     seed: int, out_dir, log=None) -> FinetuneResult:
     """Fine-tune on question answering with a fresh answer head by default."""
     ft = run_cfg.finetune.validate()
-    os.makedirs(out_dir, exist_ok=True)
     cfg = ckpt.config
-    if len(bundle.vocab) != cfg.vocab_size:
-        raise ValueError("vocabulary does not match the checkpoint")
+    _check_data(cfg, bundle)
+    os.makedirs(out_dir, exist_ok=True)
     train_qs = [r for r in bundle.split("train") if r.is_question]
     if not train_qs:
         raise ValueError("fine-tuning corpus has no train questions")
 
-    seeds = np.random.SeedSequence(seed).spawn(2)
-    head_rng = np.random.default_rng(seeds[0])
-    train_rng = np.random.default_rng(seeds[1])
-
+    head_rng, train_rng = _rngs(seed)
     params = _clone_params(ckpt.params)
     if ft.reuse_qa_head:
         answers = list((ckpt.extra or {}).get("answers", []))
@@ -489,8 +485,9 @@ def run_finetune_pairwise(ckpt: Checkpoint, bundle: DataBundle, run_cfg: RunConf
                           seed: int, out_dir, log=None) -> FinetuneResult:
     """Fine-tune the two-image head: both passes share the encoder parameters."""
     ft = run_cfg.finetune.validate()
-    os.makedirs(out_dir, exist_ok=True)
     cfg = ckpt.config
+    _check_data(cfg, bundle)
+    os.makedirs(out_dir, exist_ok=True)
     if bundle.pairs is None:
         raise ValueError("pairwise fine-tuning needs a pair corpus (two image ids per record)")
     train_pairs = [p for p in bundle.pairs if p.split == "train"]
@@ -498,9 +495,7 @@ def run_finetune_pairwise(ckpt: Checkpoint, bundle: DataBundle, run_cfg: RunConf
     if not train_pairs:
         raise ValueError("pair corpus has no train records")
 
-    seeds = np.random.SeedSequence(seed).spawn(2)
-    head_rng = np.random.default_rng(seeds[0])
-    train_rng = np.random.default_rng(seeds[1])
+    head_rng, train_rng = _rngs(seed)
     params = _clone_params(ckpt.params)
     params.update(init_head_params(cfg, head_rng, PAIRWISE_HEAD))
     heads = tuple(dict.fromkeys(list(ckpt.heads) + [PAIRWISE_HEAD]))
@@ -551,6 +546,7 @@ def dump_attention(ckpt: Checkpoint, bundle: DataBundle, index: int, out_path,
         raise ValueError(f"record index {index} out of range [0, {len(rows)})")
     record = rows[index]
     cfg = ckpt.config
+    _check_data(cfg, bundle)
     row = plain_row(record.image_id, record.sentence, bundle.store, bundle.vocab, cfg)
     out = forward_batch(collate(CrossModalBatch([row]), bundle.vocab), ckpt.params, cfg)
 

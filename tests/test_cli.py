@@ -3,6 +3,7 @@
 import json
 import os
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -166,6 +167,91 @@ def test_unknown_config_field_rejected(tmp_path, capsys):
     code = main(["gen-data", "--out", str(tmp_path / "d"), "--config", str(cfg)])
     assert code == 2
     assert "hidden_dim" in capsys.readouterr().err
+
+
+def test_negative_clip_norm_is_config_error(data_dir, capsys, tmp_path):
+    cfg = tmp_path / "clip.json"
+    cfg.write_text(json.dumps({"schedule": {"clip_norm": -5.0}}))
+    code = main(["pretrain", "--data", str(data_dir), "--config", str(cfg),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "clip_norm" in capsys.readouterr().err
+
+
+def test_gen_data_with_one_object_per_image_names_the_field(tmp_path, capsys):
+    cfg = tmp_path / "one.json"
+    cfg.write_text(json.dumps({"model": {"objects_per_image": 1}}))
+    code = main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "d"),
+                 "--images", "8"])
+    assert code == 2
+    assert "error[config]: objects_per_image" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ['{"image_id": "synth-000000", "sentence": "a cat", '
+                                  '"is_question": "no", "answer": null, "split": "train"}',
+                                  "[1, 2]"])
+def test_stats_on_mistyped_corpus_is_data_error(line, tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(line + "\n")
+    assert main(["stats", "--corpus", str(corpus)]) == 3
+    assert f"error[data]: {corpus} line 1" in capsys.readouterr().err
+
+
+def test_data_dir_without_labels_file_is_data_error(data_dir, run_dir, tmp_path, capsys):
+    bad = tmp_path / "data"
+    shutil.copytree(data_dir, bad)
+    os.remove(bad / "labels.json")
+    code = main(["evaluate", "--data", str(bad),
+                 "--checkpoint", str(run_dir / "checkpoint-final.ckpt")])
+    assert code == 3
+    assert "labels.json" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def other_vocab_dir(tmp_path_factory):
+    """A data directory whose vocabulary is smaller than ``data_dir``'s."""
+    path = tmp_path_factory.mktemp("other")
+    assert main(["gen-data", "--out", str(path), "--images", "12", "--pairs", "12",
+                 "--labels", "red,green,blue", "--seed", "0"]) == 0
+    return path
+
+
+@pytest.mark.parametrize("command", [
+    ["evaluate"],
+    ["finetune", "--task", "qa", "--epochs", "1"],
+    ["finetune", "--task", "pairwise", "--epochs", "1"],
+    ["dump-attention"],
+])
+def test_data_dir_with_another_vocabulary_is_config_error(command, other_vocab_dir, run_dir,
+                                                          tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(command + ["--data", str(other_vocab_dir),
+                           "--checkpoint", str(run_dir / "checkpoint-final.ckpt"),
+                           "--out", str(out)])
+    assert code == 2
+    assert "error[config]: data directory has vocab_size" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _checkpoint_offsets(raw: bytes) -> dict[str, int]:
+    """Offsets of one byte inside the header JSON, the rng JSON and the first tensor name."""
+    (hdr_len,) = struct.unpack_from("<I", raw, 8)
+    rng_at = 12 + hdr_len + 4
+    (rng_len,) = struct.unpack_from("<I", raw, rng_at - 4)
+    name_at = rng_at + rng_len + 4 + 2
+    return {"header": 12 + hdr_len // 2, "rng": rng_at + rng_len // 2, "name": name_at + 1}
+
+
+@pytest.mark.parametrize("region", ["header", "rng", "name"])
+def test_flipped_checkpoint_byte_is_checkpoint_error(region, data_dir, run_dir, tmp_path,
+                                                     capsys):
+    raw = bytearray((run_dir / "checkpoint-final.ckpt").read_bytes())
+    raw[_checkpoint_offsets(bytes(raw))[region]] ^= 0xFF
+    bad = tmp_path / "flipped.ckpt"
+    bad.write_bytes(bytes(raw))
+    code = main(["evaluate", "--data", str(data_dir), "--checkpoint", str(bad)])
+    assert code == 4
+    assert "error[checkpoint]" in capsys.readouterr().err
 
 
 def test_resume_flag(data_dir, run_dir, tmp_path):

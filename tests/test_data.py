@@ -1,5 +1,6 @@
 """Tokenizer, vocabulary, answer table, masking statistics, synthetic corpus."""
 
+import json
 import os
 
 import numpy as np
@@ -12,6 +13,7 @@ from crossmodal.data import (
     OUT_OF_TABLE,
     AnswerTable,
     BatchMaker,
+    CorpusFormatError,
     CorpusRecord,
     CrossModalBatch,
     FeatureStore,
@@ -67,24 +69,23 @@ def test_tokenize_truncates_to_max_len():
 
 
 @settings(max_examples=300, deadline=None)
-@given(sentence=st.text(max_size=60), max_len=st.integers(0, 24), use_sep=st.booleans())
-@example(sentence="a b c", max_len=1, use_sep=True)
-def test_tokenize_length_and_markers(sentence, max_len, use_sep):
+@given(sentence=st.text(max_size=60), max_len=st.integers(0, 24))
+@example(sentence="a b c", max_len=1)
+def test_tokenize_length_and_markers(sentence, max_len):
     vocab = Vocabulary(["a", "b", "c", "cat"])
-    if max_len < 1 + use_sep:
+    if max_len < 2:
         with pytest.raises(ValueError, match="max_len"):
-            tokenize(sentence, vocab, max_len, use_sep)
+            tokenize(sentence, vocab, max_len)
         return
-    ids = tokenize(sentence, vocab, max_len, use_sep).token_ids
+    ids = tokenize(sentence, vocab, max_len).token_ids
     assert len(ids) <= max_len
     assert ids[0] == vocab.cls_id
-    assert (ids[-1] == vocab.sep_id) == use_sep
+    assert ids[-1] == vocab.sep_id
 
 
 def test_config_rejects_sentence_length_without_room_for_sep():
     with pytest.raises(ValueError, match="max_sentence_len"):
         ModelConfig(max_sentence_len=1).validate()
-    ModelConfig(max_sentence_len=1, use_sep=False).validate()
 
 
 def test_split_words_lowercases_and_separates():
@@ -292,6 +293,37 @@ def test_pairs_jsonl_roundtrip_arbitrary_text(tmp_path_factory, pairs):
     path = tmp_path_factory.mktemp("pairs") / "pairs.jsonl"
     save_pairs(pairs, path)
     assert load_pairs(path) == pairs
+
+
+_GOOD_LINES = {
+    "corpus": (load_corpus, {"image_id": "img0", "sentence": "is it ?", "is_question": True,
+                             "answer": "yes", "split": "train"}),
+    "pairs": (load_pairs, {"image_id_0": "img0", "image_id_1": "img1", "sentence": "two",
+                           "label": True, "split": "train"}),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_GOOD_LINES))
+def test_jsonl_reader_rejects_a_line_that_is_not_an_object(reader, tmp_path):
+    load, good = _GOOD_LINES[reader]
+    path = tmp_path / "records.jsonl"
+    path.write_text(json.dumps(good) + "\n[1, 2]\n")
+    with pytest.raises(CorpusFormatError, match="line 2"):
+        load(path)
+
+
+@pytest.mark.parametrize("reader, field, value", [
+    ("corpus", "is_question", "no"), ("corpus", "is_question", 1), ("corpus", "sentence", 3),
+    ("corpus", "split", None), ("corpus", "answer", 2),
+    ("pairs", "label", "no"), ("pairs", "label", 1), ("pairs", "sentence", 3),
+    ("pairs", "split", None),
+])
+def test_jsonl_reader_rejects_fields_of_the_wrong_type(reader, field, value, tmp_path):
+    load, good = _GOOD_LINES[reader]
+    path = tmp_path / "records.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps({**good, field: value}) + "\n")
+    with pytest.raises(CorpusFormatError, match=f"line 2: {field}"):
+        load(path)
 
 
 # ---------------------------------------------------------------------------
