@@ -110,7 +110,8 @@ def cmd_finetune(args) -> int:
         cfg.finetune.epochs = args.epochs
     if args.batch_size is not None:
         cfg.finetune.batch_size = args.batch_size
-    cfg.finetune.reuse_qa_head = args.reuse_qa_head
+    if args.reuse_qa_head:
+        cfg.finetune.reuse_qa_head = True
     bundle = load_data_dir(args.data)
     if args.from_scratch:
         ckpt = make_initial_checkpoint(cfg, bundle, seed=args.seed)

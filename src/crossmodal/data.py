@@ -125,6 +125,11 @@ def build_answer_table(records, coverage_target: float) -> AnswerTable:
 # records and modality inputs
 
 
+def _check_split(split: str) -> None:
+    if split not in ("train", "dev"):
+        raise ValueError(f"unknown split tag {split!r}")
+
+
 @dataclass
 class CorpusRecord:
     image_id: str
@@ -136,13 +141,12 @@ class CorpusRecord:
     def validate(self) -> "CorpusRecord":
         if self.answer is not None and not self.is_question:
             raise ValueError(f"record for image {self.image_id}: answer on a non-question")
-        if self.split not in ("train", "dev"):
-            raise ValueError(f"unknown split tag {self.split!r}")
+        _check_split(self.split)
         return self
 
 
 class CorpusFormatError(ValueError):
-    """A corpus or pair file line that is not a record of the documented types."""
+    """A corpus or pair file line that is not a valid record of the documented types."""
 
 
 def _save_jsonl(rows, path) -> None:
@@ -153,24 +157,39 @@ def _save_jsonl(rows, path) -> None:
             fh.write("\n")
 
 
-def _load_jsonl(path, types: dict[str, tuple[type, ...]]) -> list[dict]:
-    """The JSON object on each non-blank line; each field named in ``types``
-    that the object holds must be an instance of one of its types."""
-    rows = []
+def _load_jsonl(path, types: dict[str, tuple[type, ...]], make) -> list:
+    """``make(row)`` for the JSON object ``row`` on each non-blank line.
+
+    Each field named in ``types`` that the object holds must be an instance
+    of one of its types. A line that is not JSON, not an object, holds a
+    field of the wrong type, lacks a field ``make`` reads, or that ``make``
+    rejects with a ``ValueError`` raises ``CorpusFormatError`` naming the
+    path and the line.
+    """
+    records = []
     with open(path, "r", encoding="utf-8") as fh:
         for n, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            row = json.loads(line)
+            where = f"{path} line {n}"
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CorpusFormatError(f"{where}: not JSON ({exc})") from exc
             if not isinstance(row, dict):
-                raise CorpusFormatError(f"{path} line {n}: not a JSON object")
+                raise CorpusFormatError(f"{where}: not a JSON object")
             for name, allowed in types.items():
                 if name in row and not isinstance(row[name], allowed):
                     raise CorpusFormatError(
-                        f"{path} line {n}: {name} must be "
+                        f"{where}: {name} must be "
                         f"{' or '.join(t.__name__ for t in allowed)}, got {row[name]!r}")
-            rows.append(row)
-    return rows
+            try:
+                records.append(make(row))
+            except KeyError as exc:
+                raise CorpusFormatError(f"{where}: missing field {exc}") from exc
+            except ValueError as exc:
+                raise CorpusFormatError(f"{where}: {exc}") from exc
+    return records
 
 
 def save_corpus(records, path) -> None:
@@ -180,9 +199,9 @@ def save_corpus(records, path) -> None:
 def load_corpus(path) -> list[CorpusRecord]:
     types = {"image_id": (str,), "sentence": (str,), "is_question": (bool,),
              "answer": (str, type(None)), "split": (str,)}
-    return [CorpusRecord(d["image_id"], d["sentence"], d["is_question"],
-                         d.get("answer"), d.get("split", "train")).validate()
-            for d in _load_jsonl(path, types)]
+    return _load_jsonl(path, types, lambda d: CorpusRecord(
+        d["image_id"], d["sentence"], d["is_question"], d.get("answer"),
+        d.get("split", "train")).validate())
 
 
 @dataclass
@@ -195,6 +214,10 @@ class PairRecord:
     label: bool
     split: str = "train"
 
+    def validate(self) -> "PairRecord":
+        _check_split(self.split)
+        return self
+
 
 def save_pairs(pairs, path) -> None:
     _save_jsonl(({**asdict(p), "label": bool(p.label)} for p in pairs), path)
@@ -203,9 +226,9 @@ def save_pairs(pairs, path) -> None:
 def load_pairs(path) -> list[PairRecord]:
     types = {"image_id_0": (str,), "image_id_1": (str,), "sentence": (str,),
              "label": (bool,), "split": (str,)}
-    return [PairRecord(d["image_id_0"], d["image_id_1"], d["sentence"],
-                       d["label"], d.get("split", "train"))
-            for d in _load_jsonl(path, types)]
+    return _load_jsonl(path, types, lambda d: PairRecord(
+        d["image_id_0"], d["image_id_1"], d["sentence"], d["label"],
+        d.get("split", "train")).validate())
 
 
 @dataclass

@@ -16,7 +16,7 @@ import numpy as np
 from .config import ModelConfig
 from .data import PackedBatch
 from .embeddings import embed_objects, embed_words
-from .tensor import Tensor, attention, dropout, gelu, layer_norm, linear
+from .tensor import Tensor, attention, feed_forward, linear, residual_layer_norm
 
 
 @dataclass
@@ -74,16 +74,14 @@ def multi_head_attention(
 
 
 def _sublayer(x: Tensor, sub_out: Tensor, params, prefix: str, cfg: ModelConfig, rt: Runtime) -> Tensor:
-    """Residual connection and layer normalization around a sub-layer."""
-    return layer_norm(
-        x + dropout(sub_out, cfg.dropout, rt.rng, rt.training),
-        params[f"{prefix}.g"], params[f"{prefix}.b"], cfg.ln_eps,
-    )
+    """Residual connection, dropout and layer normalization around a sub-layer (one record)."""
+    return residual_layer_norm(x, sub_out, params[f"{prefix}.g"], params[f"{prefix}.b"],
+                               cfg.ln_eps, cfg.dropout, rt.rng, rt.training)
 
 
 def _feed_forward(x: Tensor, params, prefix: str) -> Tensor:
-    inner = gelu(linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]))
-    return linear(inner, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
+    """Linear, GELU, linear (one record)."""
+    return feed_forward(x, *(params[f"{prefix}.{name}"] for name in ("w1", "b1", "w2", "b2")))
 
 
 def single_modality_layer(

@@ -5,14 +5,34 @@ Forward passes record primitive applications on the active ``Tape``;
 gradients into every tensor that requires them. A tape is a single-use
 object: open one per forward pass, run backward once, discard it.
 
-Every ``x @ W + b`` projection outside attention goes through ``linear``:
-one record, and a backward of three 2-D GEMM-shaped products over the
-flattened rows. Each multi-head attention block up to its output projection
-is one ``attention`` record -- q/k/v projections, head split, scaled scores,
-masked softmax, dropout on the probabilities, mixing product, head merge --
-with a hand-written backward. The model records no ``matmul`` or
-``softmax``; they stay as general primitives, and the attention tests
-compose them as the float64 reference.
+The model's records are few and large: a pre-training step of the desk
+model (3/2/2 layers, all five losses on) holds 110 of them. Each encoder
+layer records, per sub-layer:
+
+- ``attention``: q/k/v projections, head split, scaled scores, masked
+  softmax, dropout on the probabilities, mixing product and head merge,
+  with a hand-written backward. It keeps the projected heads, the softmax
+  weights and the dropout mask. ``linear`` then applies the output projection.
+- ``feed_forward``: ``linear(gelu(linear(x)))``. It keeps the flattened
+  input and the pre-activation ``h`` only. Backward recomputes the tanh and
+  the GELU output from ``h`` with the forward's exact ops, which is cheaper
+  than storing them.
+- ``residual_layer_norm``: ``layer_norm(x + dropout(sub))`` around each of
+  the above. It keeps the dropout mask, xhat and the per-row 1/std.
+
+Every ``x @ W + b`` elsewhere is one ``linear`` record, whose backward is
+three 2-D GEMMs over the flattened rows and which keeps nothing beyond its
+inputs. The embeddings and heads record a few small ops
+(``embedding_lookup``, ``add``, ``layer_norm``, ``gelu``, ...).
+
+A dropout mask is kept as ``bool`` plus the scalar 1/(1 - rate). Each
+value still rounds once, as a product with a float mask of 0 and scale
+would, so the values match a float mask bit for bit at an eighth (float64)
+or a quarter (float32) of its memory. The fused records write their
+temporaries in place and keep only what their backward reads, so a step
+frees and re-faults fewer pages. ``matmul``, ``softmax``, ``dropout``,
+``gelu`` and ``layer_norm`` stay general primitives, and the tests compose
+them as the reference for the fused records.
 
 Gradient ownership: a leaf (a tensor no record produced, i.e. a parameter)
 owns its ``grad`` array. ``zero_grads`` makes every leaf's gradient a view
@@ -361,8 +381,6 @@ def attention(query: Tensor, context: Tensor, wq: Tensor, bq: Tensor, wk: Tensor
     position is an error. The backward is written out by hand; when
     ``query`` is ``context`` their gradient is returned once.
     """
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     query, context = _as_tensor(query), _as_tensor(context)
     proj = [_as_tensor(t, like=query.data) for t in (wq, bq, wk, bk, wv, bv)]
     b, q, d = query.data.shape
@@ -400,13 +418,12 @@ def attention(query: Tensor, context: Tensor, wq: Tensor, bq: Tensor, wk: Tensor
     y -= y.max(axis=-1, keepdims=True)
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
-    keep = None
-    if training and rate > 0.0:
-        if rng is None:
-            raise ValueError("dropout in training mode needs an rng")
-        keep = (rng.random(y.shape) >= rate).astype(y.dtype)
-        keep /= 1.0 - rate
-    out = ((y if keep is None else y * keep) @ vh).transpose(0, 2, 1, 3).reshape(b, q, d)
+    keep = _keep_mask(y, rate, rng, training)
+
+    def dropped(p):
+        return p if keep is None else _scale_keep(p, *keep)
+
+    out = (dropped(y) @ vh).transpose(0, 2, 1, 3).reshape(b, q, d)
     shared = query is context
 
     def rule(g):
@@ -414,11 +431,11 @@ def attention(query: Tensor, context: Tensor, wq: Tensor, bq: Tensor, wk: Tensor
             return x.transpose(0, 2, 1, 3).reshape(b * n, d)
 
         gh = g.reshape(b, q, h, dk).transpose(0, 2, 1, 3)
-        alpha = y if keep is None else y * keep
-        gv = merged(alpha.transpose(0, 1, 3, 2) @ gh, c)
+        gv = merged(dropped(y).transpose(0, 1, 3, 2) @ gh, c)
         ga = gh @ vh.transpose(0, 1, 3, 2)
         if keep is not None:
-            ga *= keep
+            ga *= keep[1]
+            ga *= keep[0]
         # softmax backward, then the score scale, in place on the fresh ga
         ga -= (ga * y).sum(axis=-1, keepdims=True)
         ga *= y
@@ -603,57 +620,186 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     return _apply(out, (table,), rule)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Tensor:
-    """Normalize over the last axis, then apply elementwise gain and bias."""
-    x = _as_tensor(x)
-    gain = _as_tensor(gain, like=x.data)
-    bias = _as_tensor(bias, like=x.data)
-    d = x.data.shape[-1] if x.data.ndim else 0
-    if d == 0:
+def _check_layer_norm(x: np.ndarray, eps: float) -> None:
+    if (x.shape[-1] if x.ndim else 0) == 0:
         raise ValueError("layer_norm over an empty last axis")
     if eps <= 0:
         raise ValueError(f"layer_norm eps must be positive, got {eps}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = xhat * gain.data + bias.data
-    gd = gain.data
+
+
+def _normalize(xc: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float):
+    """Layer norm of rows already centred, ``xc``, which becomes xhat in place.
+
+    Returns the output ``xhat * gain + bias`` and the per-row 1/std.
+    """
+    out = xc * xc
+    inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + eps)
+    xc *= inv
+    np.multiply(xc, gain, out=out)
+    out += bias
+    return out, inv
+
+
+def _layer_norm_grads(g, xhat, inv, gain: Tensor, bias: Tensor, want_x: bool):
+    """Gradients of ``xhat * gain + bias`` w.r.t. the normalized input, gain and bias."""
+    d = xhat.shape[-1]
+    gx = ggain = gbias = None
+    if gain.requires_grad:
+        ggain = (g * xhat).reshape(-1, d).sum(axis=0).reshape(gain.data.shape)
+    if bias.requires_grad:
+        gbias = g.reshape(-1, d).sum(axis=0).reshape(bias.data.shape)
+    if want_x:
+        # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), in place on fresh arrays
+        gx = g * gain.data
+        tmp = gx * xhat
+        m = tmp.mean(axis=-1, keepdims=True)
+        gx -= gx.mean(axis=-1, keepdims=True)
+        np.multiply(xhat, m, out=tmp)
+        gx -= tmp
+        gx *= inv
+    return gx, ggain, gbias
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Tensor:
+    """Normalize over the last axis, then apply elementwise gain and bias.
+
+    The record keeps xhat and the per-row 1/std.
+    """
+    x = _as_tensor(x)
+    gain = _as_tensor(gain, like=x.data)
+    bias = _as_tensor(bias, like=x.data)
+    _check_layer_norm(x.data, eps)
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    out, inv = _normalize(xhat, gain.data, bias.data, eps)
 
     def rule(g):
-        gx = ggain = gbias = None
-        if x.requires_grad:
-            dxhat = g * gd
-            gx = inv * (
-                dxhat
-                - dxhat.mean(axis=-1, keepdims=True)
-                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-            )
-        if gain.requires_grad:
-            ggain = (g * xhat).reshape(-1, d).sum(axis=0).reshape(gd.shape)
-        if bias.requires_grad:
-            gbias = g.reshape(-1, d).sum(axis=0).reshape(bias.data.shape)
-        return gx, ggain, gbias
+        return _layer_norm_grads(g, xhat, inv, gain, bias, x.requires_grad)
 
     return _apply(out, (x, gain, bias), rule)
 
 
-def gelu(x: Tensor) -> Tensor:
-    """Gaussian error linear unit, tanh approximation."""
-    x = _as_tensor(x)
-    xd = x.data
-    # x*x*x, not x**3: float32 ** goes through numpy's generic power loop
-    x2 = xd * xd
-    inner = _GELU_C * (xd + _GELU_A * (x2 * xd))
-    t = np.tanh(inner)
-    out = 0.5 * xd * (1.0 + t)
+def residual_layer_norm(x: Tensor, sub: Tensor, gain: Tensor, bias: Tensor, eps: float,
+                        rate: float, rng: np.random.Generator | None, training: bool) -> Tensor:
+    """``layer_norm(x + dropout(sub, rate, rng, training), gain, bias, eps)`` as one record.
+
+    It draws the same mask as ``dropout`` (one ``rng.random(sub.shape)``,
+    only in training mode at a rate above 0) and keeps it as ``bool`` with
+    the scalar 1/(1 - rate), beside xhat and the per-row 1/std. The sum's
+    gradient goes to ``x`` as it is and to ``sub`` through the mask.
+    """
+    x, sub = _as_tensor(x), _as_tensor(sub)
+    gain = _as_tensor(gain, like=x.data)
+    bias = _as_tensor(bias, like=x.data)
+    if x.data.shape != sub.data.shape:
+        raise ValueError(f"residual shapes disagree: {x.data.shape} and {sub.data.shape}")
+    _check_layer_norm(x.data, eps)
+    keep = _keep_mask(sub.data, rate, rng, training)
+    if keep is None:
+        xhat = x.data + sub.data
+    else:
+        xhat = _scale_keep(sub.data, *keep)
+        xhat += x.data
+    xhat -= xhat.mean(axis=-1, keepdims=True)
+    out, inv = _normalize(xhat, gain.data, bias.data, eps)
 
     def rule(g):
-        dinner = _GELU_C * (1.0 + 3.0 * _GELU_A * x2)
-        return (g * (0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t**2) * dinner),)
+        gs, ggain, gbias = _layer_norm_grads(g, xhat, inv, gain, bias,
+                                             x.requires_grad or sub.requires_grad)
+        gsub = gs if keep is None or not sub.requires_grad else _scale_keep(gs, *keep)
+        return gs, gsub, ggain, gbias
 
-    return _apply(out, (x,), rule)
+    return _apply(out, (x, sub, gain, bias), rule)
+
+
+def _gelu_tanh(h: np.ndarray) -> np.ndarray:
+    """tanh(c * (h + a * h^3)) in one fresh array."""
+    # h*h*h, not h**3: float32 ** goes through numpy's generic power loop
+    t = h * h
+    t *= h
+    t *= _GELU_A
+    t += h
+    t *= _GELU_C
+    return np.tanh(t, out=t)
+
+
+def _gelu(h: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """GELU (0.5 * h) * (1 + t) for t = _gelu_tanh(h), in a fresh array; t is left as it is."""
+    out = h * 0.5
+    out *= t + 1.0
+    return out
+
+
+def _gelu_grad(h: np.ndarray, t: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``g`` times the GELU derivative at ``h``, for t = _gelu_tanh(h); overwrites t.
+
+    The derivative is 0.5 * (1 + t) + ((0.5 * h) * (1 - t^2)) * c * (1 + 3a * h^2).
+    """
+    out = t + 1.0
+    out *= 0.5
+    np.multiply(t, t, out=t)
+    np.subtract(1.0, t, out=t)
+    q = h * 0.5
+    q *= t
+    np.multiply(h, h, out=t)
+    t *= 3.0 * _GELU_A
+    t += 1.0
+    t *= _GELU_C
+    q *= t
+    out += q
+    out *= g
+    return out
+
+
+def gelu(x: Tensor) -> Tensor:
+    """Gaussian error linear unit, tanh approximation.
+
+    The record keeps nothing but its input; backward recomputes the tanh.
+    """
+    x = _as_tensor(x)
+    xd = x.data
+
+    def rule(g):
+        return (_gelu_grad(xd, _gelu_tanh(xd), g),)
+
+    return _apply(_gelu(xd, _gelu_tanh(xd)), (x,), rule)
+
+
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """``linear(gelu(linear(x, w1, b1)), w2, b2)`` as one record.
+
+    The record keeps the flattened input and the pre-activation h only.
+    Backward recomputes the tanh and the GELU output from h with the
+    forward's ops, so every value matches the three-record path bit for bit.
+    """
+    x = _as_tensor(x)
+    w1, w2 = _as_tensor(w1), _as_tensor(w2)
+    b1, b2 = _as_tensor(b1, like=x.data), _as_tensor(b2, like=x.data)
+    d_in, d_ff = w1.data.shape
+    if (x.data.shape[-1] != d_in or b1.data.shape != (d_ff,)
+            or w2.data.shape[0] != d_ff or b2.data.shape != w2.data.shape[1:]):
+        raise ValueError(
+            f"feed_forward shapes disagree: x {x.data.shape}, w1 {w1.data.shape}, "
+            f"b1 {b1.data.shape}, w2 {w2.data.shape}, b2 {b2.data.shape}")
+    d_out = w2.data.shape[1]
+    x2 = x.data.reshape(-1, d_in)
+    h = x2 @ w1.data
+    h += b1.data
+    out = _gelu(h, _gelu_tanh(h)) @ w2.data
+    out += b2.data
+    shape = x.data.shape
+
+    def rule(g):
+        g2 = g.reshape(-1, d_out)
+        t = _gelu_tanh(h)
+        gw2 = _gelu(h, t).T @ g2 if w2.requires_grad else None
+        gb2 = g2.sum(axis=0) if b2.requires_grad else None
+        gh = _gelu_grad(h, t, g2 @ w2.data.T)
+        gx = (gh @ w1.data.T).reshape(shape) if x.requires_grad else None
+        gw1 = x2.T @ gh if w1.requires_grad else None
+        gb1 = gh.sum(axis=0) if b1.requires_grad else None
+        return gx, gw1, gb1, gw2, gb2
+
+    return _apply(out.reshape(shape[:-1] + (d_out,)), (x, w1, b1, w2, b2), rule)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -688,26 +834,46 @@ def softplus(x: Tensor) -> Tensor:
     return _apply(out, (x,), rule)
 
 
+def _keep_mask(like: np.ndarray, rate: float, rng: np.random.Generator | None, training: bool):
+    """The dropout draw for an array like ``like``, or None in eval mode and at rate 0.
+
+    The draw is the keep mask ``rng.random(like.shape) >= rate`` as ``bool``
+    and the survivors' scale 1/(1 - rate) in the array's dtype.
+    """
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+    if not training or rate == 0.0:
+        return None
+    if rng is None:
+        raise ValueError("dropout in training mode needs an rng")
+    return rng.random(like.shape) >= rate, like.dtype.type(1.0) / like.dtype.type(1.0 - rate)
+
+
+def _scale_keep(a: np.ndarray, mask: np.ndarray, scale) -> np.ndarray:
+    """``a * scale`` where ``mask`` holds and a signed zero elsewhere, in a fresh array.
+
+    Each value rounds once, as a product with a float mask of 0 and scale would.
+    """
+    out = a * scale
+    out *= mask
+    return out
+
+
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, training: bool) -> Tensor:
     """Zero elements with probability ``rate`` and rescale survivors.
 
     Identity in eval mode and at rate 0. Deterministic under a fixed rng.
+    The record keeps the mask as ``bool`` and the scale as one scalar.
     """
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     x = _as_tensor(x)
-    if not training or rate == 0.0:
+    keep = _keep_mask(x.data, rate, rng, training)
+    if keep is None:
         return x
-    if rng is None:
-        raise ValueError("dropout in training mode needs an rng")
-    keep = (rng.random(x.data.shape) >= rate).astype(x.data.dtype)
-    keep /= 1.0 - rate
-    out = x.data * keep
 
     def rule(g):
-        return (g * keep,)
+        return (_scale_keep(g, *keep),)
 
-    return _apply(out, (x,), rule)
+    return _apply(_scale_keep(x.data, *keep), (x,), rule)
 
 
 def cast(t: Tensor, dtype) -> Tensor:

@@ -8,6 +8,7 @@ import struct
 import numpy as np
 import pytest
 
+from crossmodal.checkpoint import load_checkpoint
 from crossmodal.cli import main
 from crossmodal.data import FeatureStore, load_corpus
 
@@ -195,6 +196,60 @@ def test_stats_on_mistyped_corpus_is_data_error(line, tmp_path, capsys):
     corpus.write_text(line + "\n")
     assert main(["stats", "--corpus", str(corpus)]) == 3
     assert f"error[data]: {corpus} line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"split": "test"}, "unknown split tag 'test'"),
+    ({"answer": "cat"}, "answer on a non-question"),
+])
+def test_stats_on_invalid_corpus_record_is_data_error(change, message, tmp_path, capsys):
+    row = {"image_id": "synth-000000", "sentence": "a cat", "is_question": False,
+           "answer": None, "split": "train"}
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps(row) + "\n" + json.dumps({**row, **change}) + "\n")
+    assert main(["stats", "--corpus", str(corpus)]) == 3
+    err = capsys.readouterr().err
+    assert f"error[data]: {corpus} line 2: " in err and message in err
+
+
+def test_stats_on_corpus_line_that_is_not_json_is_data_error(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"image_id": "synth-000000", "sentence": \n')
+    assert main(["stats", "--corpus", str(corpus)]) == 3
+    assert f"error[data]: {corpus} line 1: not JSON" in capsys.readouterr().err
+
+
+def test_pairs_file_with_unknown_split_is_data_error(data_dir, tmp_path, capsys):
+    copy = tmp_path / "data"
+    shutil.copytree(data_dir, copy)
+    lines = (copy / "pairs.jsonl").read_text().splitlines()
+    lines[1] = json.dumps({**json.loads(lines[1]), "split": "test"})
+    (copy / "pairs.jsonl").write_text("\n".join(lines) + "\n")
+    code = main(["finetune", "--task", "pairwise", "--data", str(copy), "--from-scratch",
+                 "--epochs", "1", "--out", str(tmp_path / "ft")])
+    assert code == 3
+    assert "line 2: unknown split tag 'test'" in capsys.readouterr().err
+
+
+def test_finetune_config_reuse_qa_head_is_kept_without_the_flag(data_dir, run_dir, tmp_path):
+    """``"finetune": {"reuse_qa_head": true}`` in --config trains the checkpoint's answer head."""
+    cfg_path = tmp_path / "ft.json"
+    cfg_path.write_text(json.dumps({"finetune": {"reuse_qa_head": True}}))
+    pretrained = load_checkpoint(run_dir / "checkpoint-final.ckpt")
+    heads = {}
+    for name, extra in (("config", ["--config", str(cfg_path)]), ("flag", ["--reuse-qa-head"]),
+                        ("fresh", [])):
+        out = tmp_path / name
+        code = main(["finetune", "--task", "qa", "--data", str(data_dir),
+                     "--checkpoint", str(run_dir / "checkpoint-final.ckpt"),
+                     "--epochs", "1", "--batch-size", "16", "--seed", "2", "--out", str(out),
+                     *extra])
+        assert code == 0
+        ckpt = load_checkpoint(out / "checkpoint-final.ckpt")
+        heads[name] = (ckpt.extra["answers"], ckpt.params["head.qa.w"].data)
+    assert heads["config"][0] == pretrained.extra["answers"]
+    assert np.array_equal(heads["config"][1], heads["flag"][1])
+    assert not np.array_equal(heads["fresh"][1], heads["config"][1])
 
 
 def test_data_dir_without_labels_file_is_data_error(data_dir, run_dir, tmp_path, capsys):

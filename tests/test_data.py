@@ -326,6 +326,31 @@ def test_jsonl_reader_rejects_fields_of_the_wrong_type(reader, field, value, tmp
         load(path)
 
 
+@pytest.mark.parametrize("reader, change, message", [
+    ("corpus", {"split": "test"}, "unknown split tag 'test'"),
+    ("corpus", {"is_question": False}, "record for image img0: answer on a non-question"),
+    ("pairs", {"split": "test"}, "unknown split tag 'test'"),
+    ("corpus", {"image_id": None}, "missing field 'image_id'"),
+    ("pairs", {"label": None}, "missing field 'label'"),
+])
+def test_jsonl_reader_rejects_an_invalid_record(reader, change, message, tmp_path):
+    load, good = _GOOD_LINES[reader]
+    row = {k: v for k, v in {**good, **change}.items() if v is not None}
+    path = tmp_path / "records.jsonl"
+    path.write_text(json.dumps(good) + "\n\n" + json.dumps(row) + "\n")
+    with pytest.raises(CorpusFormatError, match=f"{path} line 3: {message}"):
+        load(path)
+
+
+@pytest.mark.parametrize("reader", sorted(_GOOD_LINES))
+def test_jsonl_reader_names_the_line_that_is_not_json(reader, tmp_path):
+    load, good = _GOOD_LINES[reader]
+    path = tmp_path / "records.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps(good)[:-1] + "\n")
+    with pytest.raises(CorpusFormatError, match=f"{path} line 2: not JSON"):
+        load(path)
+
+
 # ---------------------------------------------------------------------------
 # masking and matching
 

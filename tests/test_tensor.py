@@ -19,12 +19,14 @@ from crossmodal.tensor import (
     concat,
     dropout,
     embedding_lookup,
+    feed_forward,
     gelu,
     getitem,
     layer_norm,
     linear,
     log_softmax,
     matmul,
+    residual_layer_norm,
     sigmoid,
     softmax,
     softplus,
@@ -481,6 +483,130 @@ def test_dropout_backward_uses_mask():
         zeroed = out.data == 0.0
         assert np.array_equal(x.grad == 0.0, zeroed)
         assert np.allclose(x.grad[~zeroed], 1.0 / 0.75)
+
+
+# ---------------------------------------------------------------------------
+# residual_layer_norm and feed_forward, against the primitives they fuse
+
+_DROPOUT_MODES = pytest.mark.parametrize("rate, training", [(0.3, False), (0.0, True), (0.3, True)],
+                                         ids=["eval", "rate0", "dropout"])
+
+
+@_DROPOUT_MODES
+def test_residual_layer_norm_gradcheck(rate, training):
+    rng = np.random.default_rng(20)
+    with using_dtype(np.float64):
+        x, sub = f64(rng.normal(size=(2, 3, 6))), f64(rng.normal(size=(2, 3, 6)))
+        gain, bias = f64(rng.normal(size=(6,))), f64(rng.normal(size=(6,)))
+        mix = tensor(rng.normal(size=x.shape))
+
+        def loss():
+            out = residual_layer_norm(x, sub, gain, bias, 1e-12, rate,
+                                      np.random.default_rng(21), training)
+            return tsum(out * mix)
+
+        gradcheck(loss, {"x": x, "sub": sub, "gain": gain, "bias": bias})
+
+
+def test_feed_forward_gradcheck():
+    rng = np.random.default_rng(22)
+    with using_dtype(np.float64):
+        x, w1, b1, w2, b2 = (f64(rng.normal(size=shape))
+                             for shape in ((2, 3, 4), (4, 7), (7,), (7, 4), (4,)))
+        mix = tensor(rng.normal(size=x.shape))
+        gradcheck(lambda: tsum(feed_forward(x, w1, b1, w2, b2) * mix),
+                  {"x": x, "w1": w1, "b1": b1, "w2": w2, "b2": b2})
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@_DROPOUT_MODES
+def test_fused_sublayer_matches_composed_primitives_bit_for_bit(dtype, rate, training):
+    """A feed-forward sub-layer as the encoders build it: ``x`` feeds the block and its residual."""
+    rng = np.random.default_rng(23)
+    d, d_ff = 8, 32
+    with using_dtype(dtype):
+        x0, w1, b1, w2, b2, gain, bias = (
+            Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+            for shape in ((2, 5, d), (d, d_ff), (d_ff,), (d_ff, d), (d,), (d,), (d,)))
+        mix = tensor(rng.normal(size=x0.shape))
+        leaves = [x0, w1, b1, w2, b2, gain, bias]
+        results = []
+        for fused in (True, False):
+            for t in leaves:
+                t.grad = None
+            drop_rng = np.random.default_rng(24)
+            with Tape():
+                x = x0 * 1.5
+                if fused:
+                    out = residual_layer_norm(x, feed_forward(x, w1, b1, w2, b2), gain, bias,
+                                              1e-12, rate, drop_rng, training)
+                else:
+                    sub = linear(gelu(linear(x, w1, b1)), w2, b2)
+                    out = layer_norm(x + dropout(sub, rate, drop_rng, training), gain, bias, 1e-12)
+                backward(tsum(out * mix))
+            results.append([out.data] + [t.grad for t in leaves] + [drop_rng.random(3)])
+    for got, want in zip(*results):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rate, training", [(0.3, False), (0.0, True)], ids=["eval", "rate0"])
+def test_residual_layer_norm_without_dropout_leaves_rng_untouched(rate, training):
+    rng = np.random.default_rng(25)
+    before = rng.bit_generator.state
+    x, sub = tensor(np.ones((2, 4))), tensor(np.arange(8.0).reshape(2, 4))
+    out = residual_layer_norm(x, sub, tensor(np.ones(4)), tensor(np.zeros(4)), 1e-12,
+                              rate, rng, training)
+    assert rng.bit_generator.state == before
+    assert np.array_equal(out.data, layer_norm(x + sub, tensor(np.ones(4)),
+                                               tensor(np.zeros(4))).data)
+
+
+def test_residual_layer_norm_rejects_mismatched_shapes_and_rates():
+    x, ones = tensor(np.zeros((2, 4))), tensor(np.ones(4))
+    with pytest.raises(ValueError, match="residual shapes disagree"):
+        residual_layer_norm(x, tensor(np.zeros((2, 3))), ones, ones, 1e-12, 0.0, None, False)
+    with pytest.raises(ValueError, match="rate"):
+        residual_layer_norm(x, x, ones, ones, 1e-12, 1.0, None, False)
+    with pytest.raises(ValueError, match="needs an rng"):
+        residual_layer_norm(x, x, ones, ones, 1e-12, 0.1, None, True)
+
+
+def test_feed_forward_shape_error_names_shapes():
+    x, w = tensor(np.zeros((2, 3))), tensor(np.zeros((3, 5)))
+    with pytest.raises(ValueError, match=r"feed_forward shapes disagree.*\(4, 3\)"):
+        feed_forward(x, w, tensor(np.zeros(5)), tensor(np.zeros((4, 3))), tensor(np.zeros(3)))
+
+
+def test_layer_norm_and_gelu_match_the_written_out_float32_formulas():
+    """The in-place forms round as the plain expressions do, value for value."""
+    rng = np.random.default_rng(26)
+    xd, gy = (rng.normal(0.0, 2.0, size=(3, 5, 16)).astype(np.float32) for _ in range(2))
+    gd, bd = (rng.normal(size=16).astype(np.float32) for _ in range(2))
+    x, gain, bias = (Tensor(a.copy(), requires_grad=True) for a in (xd, gd, bd))
+    with Tape():
+        out = layer_norm(x, gain, bias)
+        backward(tsum(out * tensor(gy)))
+    xc = xd - xd.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-12)
+    xhat = xc * inv
+    dxhat = gy * gd
+    want_gx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                     - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    assert out.data.tobytes() == (xhat * gd + bd).tobytes()
+    assert x.grad.tobytes() == want_gx.tobytes()
+    assert gain.grad.tobytes() == (gy * xhat).reshape(-1, 16).sum(axis=0).tobytes()
+
+    x = Tensor(xd.copy(), requires_grad=True)
+    with Tape():
+        out = gelu(x)
+        backward(tsum(out * tensor(gy)))
+    c, a = math.sqrt(2.0 / math.pi), 0.044715
+    x2 = xd * xd
+    t = np.tanh(c * (xd + a * (x2 * xd)))
+    dinner = c * (1.0 + 3.0 * a * x2)
+    assert out.data.tobytes() == (0.5 * xd * (1.0 + t)).tobytes()
+    assert x.grad.tobytes() == (gy * (0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t**2) * dinner)).tobytes()
 
 
 # ---------------------------------------------------------------------------
