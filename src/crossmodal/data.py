@@ -8,7 +8,12 @@ On-disk formats (documented byte-exact in docs/formats.md):
   - pair corpus: one JSON record per line with fields
     image_id_0 / image_id_1 / sentence / label / split
 
-A batch carries each object's unmasked features once, in ``roi_features``:
+One example is a ``BatchRow``: ``PackedBatch``'s per-row fields, unpadded.
+``plain_row`` builds it unmasked from the tokenizer's int64 ids and the
+feature store's arrays, which it shares; ``BatchMaker.make_row`` masks its
+own token, target and mask-flag arrays in place. ``collate`` pads the two
+token fields, stacks the rest, and is the one place dtypes are coerced. A
+batch carries each object's unmasked features once, in ``roi_features``:
 they are the masked-object regression target, and the object embedder
 zeroes the masked rows before projecting them.
 """
@@ -231,57 +236,13 @@ def load_pairs(path) -> list[PairRecord]:
         d.get("split", "train")).validate())
 
 
-@dataclass
-class TokenSequence:
-    """Word ids for one sentence; position i is implied by index i.
-
-    Position 0 is always [CLS]. ``mlm_targets`` holds the original id at
-    masked slots and -1 elsewhere.
-    """
-
-    token_ids: np.ndarray
-    mlm_targets: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.token_ids = np.asarray(self.token_ids, dtype=np.int64)
-        if self.mlm_targets is not None:
-            self.mlm_targets = np.asarray(self.mlm_targets, dtype=np.int64)
-
-    @property
-    def n(self) -> int:
-        return int(self.token_ids.shape[0])
-
-
-@dataclass
-class ObjectSet:
-    """Detected-object inputs for one image: features, boxes, labels, masking."""
-
-    roi_features: np.ndarray      # (m, feat_dim) float32
-    boxes: np.ndarray             # (m, 4) normalized x_min, y_min, x_max, y_max
-    detected_labels: np.ndarray   # (m,) int
-    mask_flags: np.ndarray | None = None  # (m,) bool, True = feature zeroed
-
-    def __post_init__(self):
-        self.roi_features = np.asarray(self.roi_features, dtype=np.float32)
-        self.boxes = np.asarray(self.boxes, dtype=np.float32)
-        self.detected_labels = np.asarray(self.detected_labels, dtype=np.int64)
-        if self.mask_flags is None:
-            self.mask_flags = np.zeros(self.m, dtype=bool)
-        else:
-            self.mask_flags = np.asarray(self.mask_flags, dtype=bool)
-
-    @property
-    def m(self) -> int:
-        return int(self.roi_features.shape[0])
-
-
-def tokenize(sentence: str, vocab: Vocabulary, max_len: int) -> TokenSequence:
-    """Tokenize into [CLS] words... [SEP], truncated to ``max_len`` ids."""
+def tokenize(sentence: str, vocab: Vocabulary, max_len: int) -> np.ndarray:
+    """Int64 ids of [CLS] words... [SEP], truncated to ``max_len`` ids."""
     if max_len < 2:
         raise ValueError(f"max_len must be >= 2 ([CLS] and [SEP]), got {max_len}")
     words = split_words(sentence)[:max_len - 2]
     ids = [vocab.cls_id] + [vocab.id_of(w) for w in words] + [vocab.sep_id]
-    return TokenSequence(np.array(ids, dtype=np.int64))
+    return np.array(ids, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +333,14 @@ class FeatureStore:
 
 @dataclass
 class BatchRow:
-    tokens: TokenSequence
-    objects: ObjectSet
+    """One example: ``PackedBatch``'s per-row fields, before ``collate`` pads them."""
+
+    token_ids: np.ndarray        # (n,) [CLS] first; position i is index i
+    mlm_targets: np.ndarray      # (n,) original id at masked slots, -1 elsewhere
+    roi_features: np.ndarray     # (m, feat_dim)
+    boxes: np.ndarray            # (m, 4) normalized x_min, y_min, x_max, y_max
+    detected_labels: np.ndarray  # (m,)
+    obj_mask_flags: np.ndarray   # (m,) True = masked
     match_label: bool
     answer_index: int
     is_question: bool
@@ -389,12 +356,11 @@ def plain_row(image_id: str, sentence: str, store: FeatureStore, vocab: Vocabula
               answer_index: int = OUT_OF_TABLE) -> BatchRow:
     """A matched row with no word or object masked: the row evaluation,
     fine-tuning and attention dumps feed the model, and the row
-    ``BatchMaker.make_row`` masks."""
-    seq = tokenize(sentence, vocab, model.max_sentence_len)
-    seq.mlm_targets = np.full(seq.token_ids.shape, -1, dtype=np.int64)
+    ``BatchMaker.make_row`` masks. The store's arrays are shared, not copied."""
+    ids = tokenize(sentence, vocab, model.max_sentence_len)
     feats, boxes, labels = store.get(image_id)
-    return BatchRow(seq, ObjectSet(feats, boxes, labels.astype(np.int64)), True,
-                    answer_index, is_question)
+    return BatchRow(ids, np.full(ids.shape, -1, dtype=np.int64), feats, boxes, labels,
+                    np.zeros(store.m, dtype=bool), True, answer_index, is_question)
 
 
 class BatchMaker:
@@ -440,7 +406,7 @@ class BatchMaker:
         row = plain_row(record.image_id, source.sentence, self.store, self.vocab, self.model,
                         is_question=source.is_question, answer_index=answer_index)
         row.match_label = matched
-        ids, targets = row.tokens.token_ids, row.tokens.mlm_targets
+        ids, targets = row.token_ids, row.mlm_targets
         vocab = self.vocab
         for i in range(len(ids)):
             if ids[i] < vocab.n_special:
@@ -454,7 +420,7 @@ class BatchMaker:
             elif u < _MASK_TOKEN_FRAC + _RANDOM_TOKEN_FRAC:
                 ids[i] = int(rng.integers(vocab.n_special, len(vocab)))
             # else: keep the original token, target still recorded
-        row.objects.mask_flags = rng.random(self.store.m) < cfg.object_mask_prob
+        row.obj_mask_flags[:] = rng.random(self.store.m) < cfg.object_mask_prob
         return row
 
     def make_batch(self, records, rng: np.random.Generator) -> CrossModalBatch:
@@ -479,43 +445,32 @@ class PackedBatch:
 
 
 def collate(batch: CrossModalBatch, vocab: Vocabulary) -> PackedBatch:
+    """Pad the token fields to the longest row and stack the rest, in
+    ``PackedBatch``'s dtypes."""
     rows = batch.rows
-    b = len(rows)
-    n = max(r.tokens.n for r in rows)
-    m = rows[0].objects.m
-    fd = rows[0].objects.roi_features.shape[1]
+    lengths = [len(r.token_ids) for r in rows]
+    token_ids = np.full((len(rows), max(lengths)), vocab.pad_id, dtype=np.int64)
+    mlm_targets = np.full(token_ids.shape, -1, dtype=np.int64)
+    for i, (r, k) in enumerate(zip(rows, lengths)):
+        token_ids[i, :k] = r.token_ids
+        mlm_targets[i, :k] = r.mlm_targets
 
-    token_ids = np.full((b, n), vocab.pad_id, dtype=np.int64)
-    token_mask = np.zeros((b, n), dtype=bool)
-    mlm_targets = np.full((b, n), -1, dtype=np.int64)
-    feats = np.zeros((b, m, fd), dtype=np.float32)
-    boxes = np.zeros((b, m, 4), dtype=np.float32)
-    labels = np.zeros((b, m), dtype=np.int64)
-    mask_flags = np.zeros((b, m), dtype=bool)
+    def stack(name, dtype):
+        return np.array([getattr(r, name) for r in rows], dtype=dtype)
 
-    for i, r in enumerate(rows):
-        k = r.tokens.n
-        token_ids[i, :k] = r.tokens.token_ids
-        token_mask[i, :k] = True
-        if r.tokens.mlm_targets is not None:
-            mlm_targets[i, :k] = r.tokens.mlm_targets
-        feats[i] = r.objects.roi_features
-        boxes[i] = r.objects.boxes
-        labels[i] = r.objects.detected_labels
-        mask_flags[i] = r.objects.mask_flags
-
+    obj_mask_flags = stack("obj_mask_flags", bool)
     return PackedBatch(
         token_ids=token_ids,
-        token_mask=token_mask,
+        token_mask=np.arange(token_ids.shape[1]) < np.array(lengths)[:, None],
         mlm_targets=mlm_targets,
-        roi_features=feats,
-        boxes=boxes,
-        detected_labels=labels,
-        obj_mask_flags=mask_flags,
-        obj_real=np.ones((b, m), dtype=bool),
-        match_labels=np.array([int(r.match_label) for r in rows], dtype=np.int64),
-        answer_indices=np.array([r.answer_index for r in rows], dtype=np.int64),
-        is_question=np.array([r.is_question for r in rows], dtype=bool),
+        roi_features=stack("roi_features", np.float32),
+        boxes=stack("boxes", np.float32),
+        detected_labels=stack("detected_labels", np.int64),
+        obj_mask_flags=obj_mask_flags,
+        obj_real=np.ones_like(obj_mask_flags),
+        match_labels=stack("match_label", np.int64),
+        answer_indices=stack("answer_index", np.int64),
+        is_question=stack("is_question", bool),
     )
 
 

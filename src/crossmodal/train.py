@@ -30,6 +30,7 @@ from .data import (
     CorpusRecord,
     CrossModalBatch,
     FeatureStore,
+    FeatureStoreError,
     MaskingConfig,
     PackedBatch,
     PairRecord,
@@ -74,21 +75,29 @@ class DataBundle:
 
 
 def load_data_dir(path) -> DataBundle:
-    """Load the gen-data output directory."""
+    """Load the gen-data output directory, whose stored label ids must index ``labels.json``."""
     records = load_corpus(os.path.join(path, CORPUS_FILE))
     store = FeatureStore.load(os.path.join(path, FEATURES_FILE))
     vocab = Vocabulary.load(os.path.join(path, VOCAB_FILE))
     with open(os.path.join(path, LABELS_FILE), "r", encoding="utf-8") as fh:
         label_names = json.load(fh)["labels"]
+    for image_id in store.image_ids:
+        labels = store.get(image_id)[2]
+        outside = labels[(labels < 0) | (labels >= len(label_names))]
+        if outside.size:
+            raise FeatureStoreError(
+                f"{FEATURES_FILE}: image {image_id!r} has detected label id {outside[0]}, "
+                f"outside [0, {len(label_names)}) of {LABELS_FILE}")
     pairs_path = os.path.join(path, PAIRS_FILE)
     pairs = load_pairs(pairs_path) if os.path.exists(pairs_path) else None
     return DataBundle(records, store, vocab, label_names, pairs)
 
 
 def _check_data(cfg: ModelConfig, bundle: DataBundle) -> None:
-    """Reject a data directory whose vocabulary, objects per image or feature
-    width differ from the model's."""
+    """Reject a data directory whose vocabulary, label names, objects per
+    image or feature width differ from the model's."""
     for name, found in (("vocab_size", len(bundle.vocab)),
+                        ("num_labels", len(bundle.label_names)),
                         ("objects_per_image", bundle.store.m),
                         ("feat_dim", bundle.store.feat_dim)):
         if found != getattr(cfg, name):
@@ -242,6 +251,7 @@ def run_pretraining(bundle: DataBundle, run_cfg: RunConfig, seed: int, out_dir,
     if not train_records:
         raise ValueError("corpus has no train records")
     cfg, table = resolve_model_config(run_cfg.model, bundle, sched.answer_coverage)
+    total_steps = _total_steps(len(train_records), sched.batch_size, sched.epochs)
 
     resume_epoch = None
     if resume is not None:
@@ -254,12 +264,20 @@ def run_pretraining(bundle: DataBundle, run_cfg: RunConfig, seed: int, out_dir,
             raise ValueError(
                 f"{resume} is not a pre-training checkpoint (no epoch, or fine-tuned); "
                 "resume from a checkpoint-epoch-N or checkpoint-final file of pretrain")
+        for name, stored, given in (
+                ("peak_lr", opt.peak_lr, sched.peak_lr),
+                ("warmup_fraction", opt.warmup_fraction, sched.warmup_fraction),
+                ("total_steps", opt.total_steps, total_steps),
+                ("answers", ckpt.extra.get("answers"), table.answers)):
+            if stored != given:
+                raise ValueError(f"{resume} was trained with {name} {stored}, but the "
+                                 f"config and corpus give {given}; resume under the same "
+                                 "schedule and corpus")
         train_rng = _restore_rng(ckpt.rng_state)
         resume_epoch = int(ckpt.extra["epoch"])
     else:
         init_rng, train_rng = _rngs(seed)
         params = init_params(cfg, init_rng, heads=(PRETRAIN_HEADS,))
-        total_steps = _total_steps(len(train_records), sched.batch_size, sched.epochs)
         opt = OptimizerState.init(params, sched.peak_lr, sched.warmup_fraction, total_steps)
 
     maker = BatchMaker(train_records, bundle.store, bundle.vocab, table,
@@ -550,13 +568,11 @@ def dump_attention(ckpt: Checkpoint, bundle: DataBundle, index: int, out_path,
     row = plain_row(record.image_id, record.sentence, bundle.store, bundle.vocab, cfg)
     out = forward_batch(collate(CrossModalBatch([row]), bundle.vocab), ckpt.params, cfg)
 
-    token_labels = [bundle.vocab.token_of(int(t)) for t in row.tokens.token_ids]
-    labels, boxes = row.objects.detected_labels, row.objects.boxes
+    token_labels = [bundle.vocab.token_of(int(t)) for t in row.token_ids]
     object_labels = []
-    for j in range(row.objects.m):
-        name = bundle.label_names[int(labels[j])] if int(labels[j]) < len(bundle.label_names) else str(int(labels[j]))
-        box = ", ".join(f"{v:.3f}" for v in boxes[j])
-        object_labels.append(f"obj{j} {name} [{box}]")
+    for j, (label, box) in enumerate(zip(row.detected_labels, row.boxes)):
+        box_text = ", ".join(f"{v:.3f}" for v in box)
+        object_labels.append(f"obj{j} {bundle.label_names[label]} [{box_text}]")
 
     def labels_for(direction: str) -> tuple[list[str], list[str]]:
         if direction == "self-L":

@@ -1,5 +1,5 @@
-"""Shared test oracles: central finite differences, gradient comparison, and a
-single-pair forward pass."""
+"""Shared test oracles: central finite differences, gradient comparison, an
+unmasked row built from raw arrays, and a single-pair forward pass."""
 
 import numpy as np
 
@@ -62,8 +62,14 @@ def gradcheck(build_loss, leaves: dict[str, "object"], h: float = 1e-5,
         assert_grads_close(analytic[name], numeric, rtol=rtol, name=name)
 
 
-def forward_one(tokens, objects, params, cfg):
-    """One pair through collate + forward_batch: (n, d) lang, (m, d) vis, (d,) cls, attention."""
-    row = BatchRow(tokens, objects, True, -1, False)
+def unmasked_row(token_ids, roi_features, boxes, detected_labels) -> BatchRow:
+    """A matched non-question row with no word or object masked."""
+    return BatchRow(token_ids, np.full(len(token_ids), -1), roi_features, boxes,
+                    detected_labels, np.zeros(len(detected_labels), dtype=bool),
+                    True, -1, False)
+
+
+def forward_one(row, params, cfg):
+    """One row through collate + forward_batch: (n, d) lang, (m, d) vis, (d,) cls, attention."""
     out = forward_batch(collate(CrossModalBatch([row]), Vocabulary([])), params, cfg)
     return out.lang.data[0], out.vis.data[0], out.cls.data[0], out.attention

@@ -58,7 +58,7 @@ from crossmodal.train import (
     run_pretraining,
 )
 
-from helpers import assert_grads_close, forward_one, numeric_grad
+from helpers import assert_grads_close, forward_one, numeric_grad, unmasked_row
 
 
 def report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -190,17 +190,13 @@ def test_criterion_2_architecture_invariants():
     detail = []
 
     # shape contract and attention-distribution invariants on a padded batch
-    from crossmodal.data import BatchRow, ObjectSet, TokenSequence
-
     def random_row(rng, n):
         ids = np.concatenate([[2], rng.integers(5, cfg.vocab_size, size=n - 2), [3]])
         feats = rng.normal(size=(8, 32)).astype(np.float32)
         x0 = rng.uniform(0, 0.6, size=8)
         y0 = rng.uniform(0, 0.6, size=8)
         boxes = np.stack([x0, y0, x0 + 0.2, y0 + 0.2], axis=1).astype(np.float32)
-        return BatchRow(TokenSequence(ids),
-                        ObjectSet(feats, boxes, rng.integers(0, 16, size=8)),
-                        True, -1, False)
+        return unmasked_row(ids, feats, boxes, rng.integers(0, 16, size=8))
 
     rng = np.random.default_rng(0)
     vocab = Vocabulary([f"w{i}" for i in range(cfg.vocab_size - 5)])
@@ -228,7 +224,7 @@ def test_criterion_2_architecture_invariants():
                 break
 
     # single-pair contract
-    lang, vis, cls, _ = forward_one(rows[0].tokens, rows[0].objects, params, cfg)
+    lang, vis, cls, _ = forward_one(rows[0], params, cfg)
     if lang.shape != (5, 64) or vis.shape != (8, 64) or cls.shape != (64,):
         ok = False
         detail.append("single-pair shapes")
@@ -239,7 +235,7 @@ def test_criterion_2_architecture_invariants():
         p = init_params(cfg, np.random.default_rng(seed))
         r = np.random.default_rng(10_000 + seed)
         row = random_row(r, int(r.integers(3, 13)))
-        lang, vis, cls, _ = forward_one(row.tokens, row.objects, p, cfg)
+        lang, vis, cls, _ = forward_one(row, p, cfg)
         if not (np.isfinite(lang).all() and np.isfinite(vis).all() and np.isfinite(cls).all()):
             bad += 1
     if bad:
@@ -270,13 +266,13 @@ def test_criterion_3_masking_statistics():
     i = 0
     while eligible < 100_000 or rows < 10_000:
         row = maker.make_row(records[i % len(records)], rng)
-        ids = row.tokens.token_ids
-        slots = row.tokens.mlm_targets >= 0
+        ids = row.token_ids
+        slots = row.mlm_targets >= 0
         eligible += int((ids >= vocab.n_special).sum())
         eligible += int(((ids < vocab.n_special) & slots).sum())  # [MASK]-resolved slots
         masked += int(slots.sum())
-        objects += row.objects.m
-        objects_masked += int(row.objects.mask_flags.sum())
+        objects += len(row.obj_mask_flags)
+        objects_masked += int(row.obj_mask_flags.sum())
         mismatched += int(not row.match_label)
         rows += 1
         i += 1

@@ -382,3 +382,81 @@ def test_resume_from_finetuned_checkpoint_is_config_error(one_image_dev, tmp_pat
     assert code == 2
     assert "not a pre-training checkpoint" in capsys.readouterr().err
     assert not os.path.exists(out / "metrics.jsonl")
+
+
+@pytest.mark.parametrize("schedule, field", [
+    ({"epochs": 2, "batch_size": 8, "peak_lr": 1e-2}, "peak_lr"),
+    ({"epochs": 2, "batch_size": 8, "peak_lr": 1e-3, "warmup_fraction": 0.1}, "warmup_fraction"),
+    ({"epochs": 3, "batch_size": 8, "peak_lr": 1e-3}, "total_steps"),
+    ({"epochs": 2, "batch_size": 4, "peak_lr": 1e-3}, "total_steps"),
+])
+def test_resume_under_another_schedule_is_config_error(schedule, field, data_dir, run_dir,
+                                                       tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"schedule": schedule}))
+    out = tmp_path / "resumed"
+    code = main(["pretrain", "--data", str(data_dir), "--config", str(cfg_path),
+                 "--seed", "1", "--out", str(out),
+                 "--resume", str(run_dir / "checkpoint-epoch-1.ckpt")])
+    assert code == 2
+    assert f"was trained with {field} " in capsys.readouterr().err
+    assert not os.path.exists(out / "metrics.jsonl")
+
+
+def test_resume_on_another_answer_table_is_config_error(data_dir, run_dir, tmp_path, capsys):
+    # the same number of answers, one of them renamed
+    bad = tmp_path / "data"
+    shutil.copytree(data_dir, bad)
+    answer = load_checkpoint(run_dir / "checkpoint-epoch-1.ckpt").extra["answers"][0]
+    lines = [json.loads(line) for line in (bad / "corpus.jsonl").read_text().splitlines()]
+    for line in lines:
+        if line["answer"] == answer:
+            line["answer"] = "renamed"
+    (bad / "corpus.jsonl").write_text("".join(json.dumps(line) + "\n" for line in lines))
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"schedule": {"epochs": 2, "batch_size": 8, "peak_lr": 1e-3}}))
+    out = tmp_path / "resumed"
+    code = main(["pretrain", "--data", str(bad), "--config", str(cfg_path),
+                 "--seed", "1", "--out", str(out),
+                 "--resume", str(run_dir / "checkpoint-epoch-1.ckpt")])
+    assert code == 2
+    assert "was trained with answers " in capsys.readouterr().err
+    assert not os.path.exists(out / "metrics.jsonl")
+
+
+def _with_labels(data_dir, path, labels):
+    shutil.copytree(data_dir, path)
+    (path / "labels.json").write_text(json.dumps({"labels": labels}))
+    return path
+
+
+@pytest.mark.parametrize("command", ["pretrain", "evaluate", "dump-attention"])
+def test_detected_label_outside_labels_file_is_data_error(command, data_dir, run_dir, tmp_path,
+                                                          capsys):
+    names = json.loads((data_dir / "labels.json").read_text())["labels"]
+    bad = _with_labels(data_dir, tmp_path / "data", names[:8])
+    argv = [command, "--data", str(bad), "--out", str(tmp_path / "out")]
+    if command != "pretrain":
+        argv += ["--checkpoint", str(run_dir / "checkpoint-final.ckpt")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "error[data]" in err and "outside [0, 8) of labels.json" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["evaluate"],
+    ["finetune", "--task", "qa", "--epochs", "1"],
+    ["dump-attention"],
+])
+def test_data_dir_with_more_label_names_is_config_error(command, data_dir, run_dir, tmp_path,
+                                                        capsys):
+    names = json.loads((data_dir / "labels.json").read_text())["labels"]
+    more = _with_labels(data_dir, tmp_path / "data", names + ["kite"])
+    out = tmp_path / "out"
+    code = main(command + ["--data", str(more),
+                           "--checkpoint", str(run_dir / "checkpoint-final.ckpt"),
+                           "--out", str(out)])
+    assert code == 2
+    assert "error[config]: data directory has num_labels 17, the model has 16" in \
+        capsys.readouterr().err
+    assert not out.exists()

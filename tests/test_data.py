@@ -13,6 +13,7 @@ from crossmodal.data import (
     OUT_OF_TABLE,
     AnswerTable,
     BatchMaker,
+    BatchRow,
     CorpusFormatError,
     CorpusRecord,
     CrossModalBatch,
@@ -27,6 +28,7 @@ from crossmodal.data import (
     generate_synthetic_corpus,
     load_corpus,
     load_pairs,
+    plain_row,
     save_corpus,
     save_pairs,
     split_words,
@@ -40,32 +42,32 @@ from crossmodal.data import (
 
 def test_tokenize_question_with_punctuation():
     vocab = Vocabulary(["who", "is", "eating", "the", "carrot", "?"])
-    seq = tokenize("Who is eating the carrot?", vocab, max_len=16)
-    tokens = [vocab.token_of(i) for i in seq.token_ids]
+    ids = tokenize("Who is eating the carrot?", vocab, max_len=16)
+    tokens = [vocab.token_of(i) for i in ids]
     assert tokens == ["[CLS]", "who", "is", "eating", "the", "carrot", "?", "[SEP]"]
 
 
 def test_tokenize_empty_sentence():
     vocab = Vocabulary(["a"])
-    seq = tokenize("", vocab, max_len=8)
-    tokens = [vocab.token_of(i) for i in seq.token_ids]
+    ids = tokenize("", vocab, max_len=8)
+    tokens = [vocab.token_of(i) for i in ids]
     assert tokens == ["[CLS]", "[SEP]"]
 
 
 def test_unknown_word_roundtrips_as_unk():
     vocab = Vocabulary(["known"])
-    seq = tokenize("known zebra", vocab, max_len=8)
-    assert seq.token_ids[2] == vocab.unk_id
-    assert vocab.token_of(int(seq.token_ids[2])) == "[UNK]"
+    ids = tokenize("known zebra", vocab, max_len=8)
+    assert ids[2] == vocab.unk_id
+    assert vocab.token_of(int(ids[2])) == "[UNK]"
 
 
 def test_tokenize_truncates_to_max_len():
     vocab = Vocabulary([f"w{i}" for i in range(30)])
     sentence = " ".join(f"w{i}" for i in range(30))
-    seq = tokenize(sentence, vocab, max_len=10)
-    assert seq.n == 10
-    assert seq.token_ids[0] == vocab.cls_id
-    assert seq.token_ids[-1] == vocab.sep_id
+    ids = tokenize(sentence, vocab, max_len=10)
+    assert len(ids) == 10
+    assert ids[0] == vocab.cls_id
+    assert ids[-1] == vocab.sep_id
 
 
 @settings(max_examples=300, deadline=None)
@@ -77,7 +79,7 @@ def test_tokenize_length_and_markers(sentence, max_len):
         with pytest.raises(ValueError, match="max_len"):
             tokenize(sentence, vocab, max_len)
         return
-    ids = tokenize(sentence, vocab, max_len).token_ids
+    ids = tokenize(sentence, vocab, max_len)
     assert len(ids) <= max_len
     assert ids[0] == vocab.cls_id
     assert ids[-1] == vocab.sep_id
@@ -373,9 +375,9 @@ def test_degenerate_config_leaves_record_unmodified():
     record = records[0]
     row = maker.make_row(record, rng)
     expected = tokenize(record.sentence, vocab, cfg.max_sentence_len)
-    assert np.array_equal(row.tokens.token_ids, expected.token_ids)
-    assert (row.tokens.mlm_targets == -1).all()
-    assert not row.objects.mask_flags.any()
+    assert np.array_equal(row.token_ids, expected)
+    assert (row.mlm_targets == -1).all()
+    assert not row.obj_mask_flags.any()
     assert row.match_label and not row.is_question
 
 
@@ -386,12 +388,12 @@ def test_word_masking_rate_in_band():
     i = 0
     while eligible < 100_000:
         row = maker.make_row(records[i % len(records)], rng)
-        ids = row.tokens.token_ids
+        ids = row.token_ids
         eligible += int((ids >= vocab.n_special).sum())
         # targets mark every masked slot, including 10% random / 10% kept
-        masked += int((row.tokens.mlm_targets >= 0).sum())
+        masked += int((row.mlm_targets >= 0).sum())
         # kept/random slots still count as eligible originals
-        eligible += int(((ids < vocab.n_special) & (row.tokens.mlm_targets >= 0)).sum())
+        eligible += int(((ids < vocab.n_special) & (row.mlm_targets >= 0)).sum())
         i += 1
     rate = masked / eligible
     assert 0.133 <= rate <= 0.167, f"masked-word rate {rate:.4f}"
@@ -416,8 +418,8 @@ def test_object_masking_rate_in_band():
     total = masked = 0
     for i in range(rows):
         row = maker.make_row(records[i % len(records)], rng)
-        total += row.objects.m
-        masked += int(row.objects.mask_flags.sum())
+        total += len(row.obj_mask_flags)
+        masked += int(row.obj_mask_flags.sum())
     rate = masked / total
     sigma = np.sqrt(0.15 * 0.85 / total)
     assert abs(rate - 0.15) <= 3 * sigma, f"object-mask rate {rate:.4f}"
@@ -433,7 +435,7 @@ def test_mismatch_draws_from_different_image():
         assert not row.match_label
         # the row keeps the original image's objects
         feats, _, _ = maker.store.get(record.image_id)
-        assert np.array_equal(row.objects.roi_features, feats)
+        assert np.array_equal(row.roi_features, feats)
 
 
 def test_single_image_corpus_cannot_mismatch():
@@ -448,6 +450,69 @@ def test_single_image_corpus_cannot_mismatch():
     # with mismatching disabled a single-image corpus is fine
     BatchMaker(records, store, vocab, table,
                MaskingConfig(mismatch_prob=0.0), cfg)
+
+
+# the dtype of every PackedBatch field, and the row field each one stacks
+PACKED_DTYPES = {
+    "token_ids": np.int64, "token_mask": np.bool_, "mlm_targets": np.int64,
+    "roi_features": np.float32, "boxes": np.float32, "detected_labels": np.int64,
+    "obj_mask_flags": np.bool_, "obj_real": np.bool_, "match_labels": np.int64,
+    "answer_indices": np.int64, "is_question": np.bool_,
+}
+STACKED = {"roi_features": "roi_features", "boxes": "boxes",
+           "detected_labels": "detected_labels", "obj_mask_flags": "obj_mask_flags",
+           "match_labels": "match_label", "answer_indices": "answer_index",
+           "is_question": "is_question"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(lengths=st.lists(st.integers(2, ModelConfig().max_sentence_len), min_size=1, max_size=6),
+       m=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_collate_pads_tokens_and_stacks_the_rest(lengths, m, seed):
+    rng = np.random.default_rng(seed)
+    vocab = Vocabulary([f"w{i}" for i in range(20)])
+    rows = [BatchRow(rng.integers(0, len(vocab), size=n),
+                     rng.integers(-1, len(vocab), size=n),
+                     rng.normal(size=(m, 3)).astype(np.float32),
+                     rng.uniform(size=(m, 4)).astype(np.float32),
+                     rng.integers(0, 16, size=m).astype(np.int32),
+                     rng.random(m) < 0.5,
+                     bool(rng.random() < 0.5), int(rng.integers(-1, 5)), bool(rng.random() < 0.5))
+            for n in lengths]
+    packed = collate(CrossModalBatch(rows), vocab)
+    for name, dtype in PACKED_DTYPES.items():
+        assert getattr(packed, name).dtype == dtype, name
+    assert packed.token_ids.shape == (len(rows), max(lengths))
+    assert packed.obj_real.shape == (len(rows), m) and packed.obj_real.all()
+    for i, (row, n) in enumerate(zip(rows, lengths)):
+        assert np.array_equal(packed.token_mask[i], np.arange(max(lengths)) < n)
+        assert np.array_equal(packed.token_ids[i, :n], row.token_ids)
+        assert (packed.token_ids[i, n:] == vocab.pad_id).all()
+        assert np.array_equal(packed.mlm_targets[i, :n], row.mlm_targets)
+        assert (packed.mlm_targets[i, n:] == -1).all()
+        for name, field in STACKED.items():
+            assert np.array_equal(getattr(packed, name)[i], getattr(row, field)), name
+
+
+def test_plain_row_round_trips_through_collate():
+    maker, records, vocab, cfg = _maker()
+    record = next(r for r in records if r.is_question)
+    row = plain_row(record.image_id, record.sentence, maker.store, vocab, cfg,
+                    is_question=True, answer_index=3)
+    packed = collate(CrossModalBatch([row]), vocab)
+    assert packed.token_mask.all()
+    assert np.array_equal(packed.token_ids[0], tokenize(record.sentence, vocab,
+                                                        cfg.max_sentence_len))
+    assert (packed.mlm_targets == -1).all()
+    feats, boxes, labels = maker.store.get(record.image_id)
+    assert np.array_equal(packed.roi_features[0], feats)
+    assert np.array_equal(packed.boxes[0], boxes)
+    assert np.array_equal(packed.detected_labels[0], labels)
+    assert not packed.obj_mask_flags.any()
+    assert packed.match_labels.tolist() == [1] and packed.answer_indices.tolist() == [3]
+    assert packed.is_question.tolist() == [True]
+    for name, field in STACKED.items():
+        assert np.array_equal(getattr(packed, name)[0], getattr(row, field)), name
 
 
 def test_mask_and_match_reproducible():
@@ -467,13 +532,13 @@ def test_masked_slots_have_targets_and_regression_targets():
     maker, records, _, _ = _maker(MaskingConfig(word_mask_prob=0.9, object_mask_prob=0.9))
     rng = np.random.default_rng(13)
     row = maker.make_row(records[0], rng)
-    ids = row.tokens.token_ids
-    targets = row.tokens.mlm_targets
+    ids = row.token_ids
+    targets = row.mlm_targets
     assert (targets >= 0).any()
     mask_token_slots = ids == 4  # [MASK]
     assert np.all(targets[mask_token_slots] >= 0)
-    assert row.objects.mask_flags.any()
-    assert np.array_equal(row.objects.roi_features, maker.store.get(records[0].image_id)[0])
+    assert row.obj_mask_flags.any()
+    assert np.array_equal(row.roi_features, maker.store.get(records[0].image_id)[0])
 
 
 def test_answer_index_set_only_for_matched_questions():

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from crossmodal.config import ModelConfig, full_scale_model
-from crossmodal.data import ObjectSet, TokenSequence
 from crossmodal.encoders import (
     Runtime,
     cross_modality_layer,
@@ -16,7 +15,7 @@ from crossmodal.encoders import (
 )
 from crossmodal.params import init_params, parameter_layout
 from crossmodal.tensor import Tape, Tensor, backward, tensor, tsum
-from helpers import forward_one
+from helpers import forward_one, unmasked_row
 
 CFG = ModelConfig(vocab_size=23, num_labels=5, num_answers=4, dropout=0.0).validate()
 RT = Runtime()
@@ -203,20 +202,18 @@ def test_cross_path_is_live():
 
 def _inputs(rng, cfg=CFG, n=6):
     ids = np.concatenate([[2], rng.integers(5, cfg.vocab_size, size=n - 2), [3]])
-    seq = TokenSequence(ids)
     feats = rng.normal(size=(cfg.objects_per_image, cfg.feat_dim)).astype(np.float32)
     x0 = rng.uniform(0, 0.6, size=cfg.objects_per_image)
     y0 = rng.uniform(0, 0.6, size=cfg.objects_per_image)
     boxes = np.stack([x0, y0, x0 + 0.2, y0 + 0.2], axis=1).astype(np.float32)
     labels = rng.integers(0, cfg.num_labels, size=cfg.objects_per_image)
-    return seq, ObjectSet(feats, boxes, labels)
+    return unmasked_row(ids, feats, boxes, labels)
 
 
 def test_model_forward_desk_shapes():
     params = make_params(22)
     rng = np.random.default_rng(23)
-    seq, objects = _inputs(rng, n=6)
-    lang, vis, cls, records = forward_one(seq, objects, params, CFG)
+    lang, vis, cls, records = forward_one(_inputs(rng, n=6), params, CFG)
     assert lang.shape == (6, 64)
     assert vis.shape == (8, 64)
     assert cls.shape == (64,)
@@ -237,8 +234,7 @@ def test_full_scale_layout_validates():
 def test_attention_record_grouping():
     params = make_params(24)
     rng = np.random.default_rng(25)
-    seq, objects = _inputs(rng)
-    _, _, _, records = forward_one(seq, objects, params, CFG)
+    _, _, _, records = forward_one(_inputs(rng), params, CFG)
     lang_groups = [r for r in records if r.encoder == "language"]
     vis_groups = [r for r in records if r.encoder == "object"]
     cross_groups = [r for r in records if r.encoder == "cross"]
@@ -251,15 +247,12 @@ def test_attention_record_grouping():
 
 
 def test_padded_positions_get_exactly_zero_weight():
-    from crossmodal.data import BatchRow, CrossModalBatch, Vocabulary, collate
+    from crossmodal.data import CrossModalBatch, Vocabulary, collate
 
     params = make_params(26)
     rng = np.random.default_rng(27)
     vocab = Vocabulary([f"w{i}" for i in range(CFG.vocab_size - 5)])
-    rows = []
-    for n in (4, 7):
-        seq, objects = _inputs(rng, n=n)
-        rows.append(BatchRow(seq, objects, True, -1, False))
+    rows = [_inputs(rng, n=n) for n in (4, 7)]
     packed = collate(CrossModalBatch(rows), vocab)
     out = forward_batch(packed, params, CFG)
     pad_cols = ~packed.token_mask  # (B, n)
@@ -274,8 +267,7 @@ def test_forward_deterministic_under_seed():
     def run():
         params = make_params(28)
         rng = np.random.default_rng(29)
-        seq, objects = _inputs(rng)
-        lang, vis, cls, _ = forward_one(seq, objects, params, CFG)
+        lang, vis, cls, _ = forward_one(_inputs(rng), params, CFG)
         return lang.tobytes() + vis.tobytes() + cls.tobytes()
 
     assert run() == run()
@@ -285,8 +277,7 @@ def test_forward_finite_over_random_seeds():
     for seed in range(25):
         params = make_params(seed)
         rng = np.random.default_rng(1000 + seed)
-        seq, objects = _inputs(rng)
-        lang, vis, cls, _ = forward_one(seq, objects, params, CFG)
+        lang, vis, cls, _ = forward_one(_inputs(rng), params, CFG)
         assert np.isfinite(lang).all() and np.isfinite(vis).all() and np.isfinite(cls).all()
 
 
@@ -294,13 +285,12 @@ def test_gradient_reaches_every_layer_parameter():
     # A generic scalar of the outputs: a plain sum would be degenerate
     # (layer-normed rows sum to the bias alone), and cls by itself cannot
     # see the last cross layer's vision branch, which only feeds vis_out.
-    from crossmodal.data import BatchRow, CrossModalBatch, Vocabulary, collate
+    from crossmodal.data import CrossModalBatch, Vocabulary, collate
 
     params = make_params(30)
     rng = np.random.default_rng(31)
     vocab = Vocabulary([f"w{i}" for i in range(CFG.vocab_size - 5)])
-    seq, objects = _inputs(rng, n=7)
-    packed = collate(CrossModalBatch([BatchRow(seq, objects, True, -1, False)]), vocab)
+    packed = collate(CrossModalBatch([_inputs(rng, n=7)]), vocab)
     w_cls = tensor(rng.normal(size=(CFG.hidden_size,)).astype(np.float32))
     w_vis = tensor(rng.normal(size=(CFG.objects_per_image, CFG.hidden_size)).astype(np.float32))
     with Tape():
@@ -317,13 +307,12 @@ def test_gradient_reaches_every_layer_parameter():
 
 
 def test_cls_gradient_reaches_language_path_of_every_layer():
-    from crossmodal.data import BatchRow, CrossModalBatch, Vocabulary, collate
+    from crossmodal.data import CrossModalBatch, Vocabulary, collate
 
     params = make_params(32)
     rng = np.random.default_rng(33)
     vocab = Vocabulary([f"w{i}" for i in range(CFG.vocab_size - 5)])
-    seq, objects = _inputs(rng, n=7)
-    packed = collate(CrossModalBatch([BatchRow(seq, objects, True, -1, False)]), vocab)
+    packed = collate(CrossModalBatch([_inputs(rng, n=7)]), vocab)
     w_cls = tensor(rng.normal(size=(CFG.hidden_size,)).astype(np.float32))
     with Tape():
         out = forward_batch(packed, params, CFG)
