@@ -16,7 +16,7 @@ import numpy as np
 from .config import ModelConfig
 from .data import PackedBatch
 from .embeddings import embed_objects, embed_words
-from .tensor import Tensor, attention, feed_forward, linear, residual_layer_norm
+from .tensor import Tensor, attention, feed_forward, residual_layer_norm
 
 
 @dataclass
@@ -55,10 +55,10 @@ def multi_head_attention(
     cfg: ModelConfig,
     rt: Runtime,
 ) -> tuple[Tensor, np.ndarray]:
-    """Scaled dot-product attention with ``cfg.num_heads`` heads (``tensor.attention``)
-    and the output projection.
+    """Scaled dot-product attention with ``cfg.num_heads`` heads (``tensor.attention``).
 
-    Returns the output features and the softmax weights (pre-dropout) for
+    Returns the merged heads, before the output projection, which
+    ``_attention_out`` applies, and the softmax weights (pre-dropout) for
     the attention-dump interface.
     """
     d = cfg.hidden_size
@@ -66,22 +66,29 @@ def multi_head_attention(
         raise ValueError(
             f"attention width mismatch: query {query_seq.shape}, context {context_seq.shape}, hidden {d}"
         )
-    mixed, weights = attention(
+    return attention(
         query_seq, context_seq,
         *(params[f"{prefix}.{name}"] for name in ("wq", "bq", "wk", "bk", "wv", "bv")),
         cfg.num_heads, context_mask, cfg.dropout, rt.rng, rt.training)
-    return linear(mixed, params[f"{prefix}.wo"], params[f"{prefix}.bo"]), weights
 
 
-def _sublayer(x: Tensor, sub_out: Tensor, params, prefix: str, cfg: ModelConfig, rt: Runtime) -> Tensor:
-    """Residual connection, dropout and layer normalization around a sub-layer (one record)."""
-    return residual_layer_norm(x, sub_out, params[f"{prefix}.g"], params[f"{prefix}.b"],
-                               cfg.ln_eps, cfg.dropout, rt.rng, rt.training)
+def _ln_args(params, prefix: str, cfg: ModelConfig, rt: Runtime) -> tuple:
+    """The layer-norm and dropout arguments of the sub-layer ``prefix`` (norm at ``prefix_ln``)."""
+    return (params[f"{prefix}_ln.g"], params[f"{prefix}_ln.b"], cfg.ln_eps, cfg.dropout,
+            rt.rng, rt.training)
 
 
-def _feed_forward(x: Tensor, params, prefix: str) -> Tensor:
-    """Linear, GELU, linear (one record)."""
-    return feed_forward(x, *(params[f"{prefix}.{name}"] for name in ("w1", "b1", "w2", "b2")))
+def _attention_out(x: Tensor, heads: Tensor, params, prefix: str, cfg: ModelConfig,
+                   rt: Runtime) -> Tensor:
+    """Output projection, dropout, residual and layer norm after attention (one record)."""
+    return residual_layer_norm(x, heads, params[f"{prefix}.wo"], params[f"{prefix}.bo"],
+                               *_ln_args(params, prefix, cfg, rt))
+
+
+def _feed_forward(x: Tensor, params, prefix: str, cfg: ModelConfig, rt: Runtime) -> Tensor:
+    """Linear, GELU, linear, then dropout, residual and layer norm (one record)."""
+    return feed_forward(x, *(params[f"{prefix}.{name}"] for name in ("w1", "b1", "w2", "b2")),
+                        *_ln_args(params, prefix, cfg, rt))
 
 
 def single_modality_layer(
@@ -93,9 +100,8 @@ def single_modality_layer(
     rt: Runtime,
 ) -> tuple[Tensor, np.ndarray]:
     att, weights = multi_head_attention(x, x, self_mask, params, f"{prefix}.attn", cfg, rt)
-    y1 = _sublayer(x, att, params, f"{prefix}.attn_ln", cfg, rt)
-    y2 = _sublayer(y1, _feed_forward(y1, params, f"{prefix}.ff"), params, f"{prefix}.ff_ln", cfg, rt)
-    return y2, weights
+    y = _attention_out(x, att, params, f"{prefix}.attn", cfg, rt)
+    return _feed_forward(y, params, f"{prefix}.ff", cfg, rt), weights
 
 
 def cross_modality_layer(
@@ -115,18 +121,16 @@ def cross_modality_layer(
     """
     l2r, w_l2r = multi_head_attention(lang, vis, vis_mask, params, f"{prefix}.l2r", cfg, rt)
     r2l, w_r2l = multi_head_attention(vis, lang, lang_mask, params, f"{prefix}.r2l", cfg, rt)
-    lang_x = _sublayer(lang, l2r, params, f"{prefix}.l2r_ln", cfg, rt)
-    vis_x = _sublayer(vis, r2l, params, f"{prefix}.r2l_ln", cfg, rt)
+    lang_x = _attention_out(lang, l2r, params, f"{prefix}.l2r", cfg, rt)
+    vis_x = _attention_out(vis, r2l, params, f"{prefix}.r2l", cfg, rt)
 
     self_l, w_sl = multi_head_attention(lang_x, lang_x, lang_mask, params, f"{prefix}.self_l", cfg, rt)
     self_r, w_sr = multi_head_attention(vis_x, vis_x, vis_mask, params, f"{prefix}.self_r", cfg, rt)
-    lang_s = _sublayer(lang_x, self_l, params, f"{prefix}.self_l_ln", cfg, rt)
-    vis_s = _sublayer(vis_x, self_r, params, f"{prefix}.self_r_ln", cfg, rt)
+    lang_s = _attention_out(lang_x, self_l, params, f"{prefix}.self_l", cfg, rt)
+    vis_s = _attention_out(vis_x, self_r, params, f"{prefix}.self_r", cfg, rt)
 
-    lang_out = _sublayer(lang_s, _feed_forward(lang_s, params, f"{prefix}.ff_l"),
-                         params, f"{prefix}.ff_l_ln", cfg, rt)
-    vis_out = _sublayer(vis_s, _feed_forward(vis_s, params, f"{prefix}.ff_r"),
-                        params, f"{prefix}.ff_r_ln", cfg, rt)
+    lang_out = _feed_forward(lang_s, params, f"{prefix}.ff_l", cfg, rt)
+    vis_out = _feed_forward(vis_s, params, f"{prefix}.ff_r", cfg, rt)
     weights = [
         ("cross-L->R", w_l2r),
         ("cross-R->L", w_r2l),

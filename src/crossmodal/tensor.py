@@ -1,49 +1,58 @@
 """Dense float tensors on numpy storage with a reverse-mode differentiation tape.
 
 Forward passes record primitive applications on the active ``Tape``;
-``backward(loss)`` replays the records in reverse order, accumulating
+``backward(loss)`` pops the records in reverse order, accumulating
 gradients into every tensor that requires them. A tape is a single-use
 object: open one per forward pass, run backward once, discard it.
 
 The model's records are few and large: a pre-training step of the desk
-model (3/2/2 layers, all five losses on) holds 110 of them. Each encoder
-layer records, per sub-layer:
+model (3/2/2 layers, all five losses on) holds 88 of them, 35 per encoder
+forward. Each encoder layer records, per sub-layer:
 
 - ``attention``: q/k/v projections, head split, scaled scores, masked
   softmax, dropout on the probabilities, mixing product and head merge,
   with a hand-written backward. It keeps the projected heads, the softmax
-  weights and the dropout mask. ``linear`` then applies the output projection.
-- ``feed_forward``: ``linear(gelu(linear(x)))``. It keeps the flattened
-  input and the pre-activation ``h`` only. Backward recomputes the tanh and
-  the GELU output from ``h`` with the forward's exact ops, which is cheaper
-  than storing them.
-- ``residual_layer_norm``: ``layer_norm(x + dropout(sub))`` around each of
-  the above. It keeps the dropout mask, xhat and the per-row 1/std.
+  weights and the dropout mask.
+- ``residual_layer_norm``: ``layer_norm(x + dropout(h @ wo + bo))`` on the
+  attention record's merged heads ``h``, which it reads again for dWo.
+- ``feed_forward``: ``layer_norm(x + dropout(linear(gelu(linear(x)))))``.
+  It keeps the flattened input and the pre-activation only, and backward
+  recomputes the tanh and the GELU output from it with the forward's exact
+  ops, which is cheaper than storing them.
 
-Every ``x @ W + b`` elsewhere is one ``linear`` record, whose backward is
-three 2-D GEMMs over the flattened rows and which keeps nothing beyond its
-inputs. The embeddings and heads record a few small ops
-(``embedding_lookup``, ``add``, ``layer_norm``, ``gelu``, ...).
+The two residual records write the projection or block output into the
+buffer that becomes xhat, so no sub-layer output outlives its forward; they
+keep the dropout mask, xhat and the per-row 1/std. Every ``x @ W + b``
+elsewhere is one ``linear`` record, whose backward is three 2-D GEMMs over
+the flattened rows and which keeps nothing beyond its inputs. The
+embeddings and heads record a few small ops (``embedding_lookup``, ``add``,
+``layer_norm``, ``gelu``, ...).
 
 A dropout mask is kept as ``bool`` plus the scalar 1/(1 - rate). Each
 value still rounds once, as a product with a float mask of 0 and scale
 would, so the values match a float mask bit for bit at an eighth (float64)
-or a quarter (float32) of its memory. The fused records write their
-temporaries in place and keep only what their backward reads, so a step
-frees and re-faults fewer pages. ``matmul``, ``softmax``, ``dropout``,
+or a quarter (float32) of its memory. ``matmul``, ``softmax``, ``dropout``,
 ``gelu`` and ``layer_norm`` stay general primitives, and the tests compose
 them as the reference for the fused records.
 
+The backward sweep frees as it goes: it pops each record, runs its rule on
+the output's gradient, then drops that gradient and the record. A record's
+activations and an intermediate's gradient therefore live only until
+nothing later in the sweep reads them, and a step's working set stays near
+what the tape held when backward began.
+
 Gradient ownership: a leaf (a tensor no record produced, i.e. a parameter)
-owns its ``grad`` array. ``zero_grads`` makes every leaf's gradient a view
-into one flat arena buffer (``arena``), laid out in the parameter dict's
-order; ``backward`` adds into that view in place, or stores a copy of a
-first gradient when there is no view, so scaling a leaf's gradient in place
-(as ``clip_gradients`` does, on the whole arena at once) never reaches
-another tensor. An intermediate takes its first gradient by reference -- it
-may be another tensor's gradient or a view of one -- and any later gradient
-is added out of place, so no shared array is ever written, and no backward
-rule writes into the gradient it receives.
+owns its ``grad`` array and keeps it after ``backward``; an intermediate
+holds no gradient once ``backward`` returns. ``zero_grads`` makes every
+leaf's gradient a view into one flat arena buffer (``arena``), laid out in
+the parameter dict's order; ``backward`` adds into that view in place, or
+stores a copy of a first gradient when there is no view, so scaling a
+leaf's gradient in place (as ``clip_gradients`` does, on the whole arena at
+once) never reaches another tensor. During the sweep an intermediate takes
+its first gradient by reference -- it may be another tensor's gradient or a
+view of one -- and any later gradient is added out of place, so no shared
+array is ever written, and no backward rule writes into the gradient it
+receives.
 
 Two numeric modes are supported: float32 (training default) and float64
 (used by gradient-check tests, where finite differences need the extra
@@ -213,12 +222,13 @@ def _apply(out_data: np.ndarray, inputs: tuple[Tensor, ...], rule) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate gradients of ``loss`` w.r.t. every tracked tensor.
+    """Populate gradients of ``loss`` w.r.t. every leaf that requires them.
 
-    The loss must be scalar. The sweep visits the recording tape once in
-    reverse order and clears it afterwards; the gradient of the loss with
-    respect to itself is 1. Gradients follow the ownership rule in the
-    module docstring.
+    The loss must be scalar; its gradient with respect to itself is 1. The
+    sweep pops the recording tape's records in reverse order. Each record's
+    rule runs on its output's gradient, which is then dropped with the
+    record, so the tape is empty afterwards and only leaves hold gradients.
+    Gradients follow the ownership rule in the module docstring.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.data.shape}")
@@ -226,11 +236,13 @@ def backward(loss: Tensor) -> None:
     if tape is None or not tape.records:
         raise ValueError("loss is not attached to a tape; nothing was recorded")
     loss.grad = np.ones_like(loss.data)
-    for out, inputs, rule in reversed(tape.records):
-        if out.grad is None:
+    records = tape.records
+    while records:
+        out, inputs, rule = records.pop()
+        g_out, out.grad = out.grad, None
+        if g_out is None:
             continue
-        grads = rule(out.grad)
-        for t, g in zip(inputs, grads):
+        for t, g in zip(inputs, rule(g_out)):
             if g is None or not t.requires_grad:
                 continue
             if t._tape is None:  # leaf: owns its buffer
@@ -242,7 +254,6 @@ def backward(loss: Tensor) -> None:
                 t.grad = g
             else:
                 t.grad = t.grad + g
-    tape.records.clear()
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -678,37 +689,80 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
     return _apply(out, (x, gain, bias), rule)
 
 
-def residual_layer_norm(x: Tensor, sub: Tensor, gain: Tensor, bias: Tensor, eps: float,
-                        rate: float, rng: np.random.Generator | None, training: bool) -> Tensor:
-    """``layer_norm(x + dropout(sub, rate, rng, training), gain, bias, eps)`` as one record.
+class _Residual:
+    """``layer_norm(x + dropout(sub))`` for a fresh ``sub`` buffer that becomes xhat.
 
-    It draws the same mask as ``dropout`` (one ``rng.random(sub.shape)``,
-    only in training mode at a rate above 0) and keeps it as ``bool`` with
-    the scalar 1/(1 - rate), beside xhat and the per-row 1/std. The sum's
-    gradient goes to ``x`` as it is and to ``sub`` through the mask.
+    The forward draws the same mask as ``dropout`` (one
+    ``rng.random(sub.shape)``, only in training mode at a rate above 0) and
+    keeps it as ``bool`` with the scalar 1/(1 - rate), beside xhat and the
+    per-row 1/std. ``grads`` splits the output gradient into the sum's
+    gradient, which ``x`` takes as it is, and ``sub``'s, through the mask.
     """
-    x, sub = _as_tensor(x), _as_tensor(sub)
-    gain = _as_tensor(gain, like=x.data)
-    bias = _as_tensor(bias, like=x.data)
-    if x.data.shape != sub.data.shape:
-        raise ValueError(f"residual shapes disagree: {x.data.shape} and {sub.data.shape}")
-    _check_layer_norm(x.data, eps)
-    keep = _keep_mask(sub.data, rate, rng, training)
-    if keep is None:
-        xhat = x.data + sub.data
-    else:
-        xhat = _scale_keep(sub.data, *keep)
-        xhat += x.data
-    xhat -= xhat.mean(axis=-1, keepdims=True)
-    out, inv = _normalize(xhat, gain.data, bias.data, eps)
 
-    def rule(g):
-        gs, ggain, gbias = _layer_norm_grads(g, xhat, inv, gain, bias,
-                                             x.requires_grad or sub.requires_grad)
-        gsub = gs if keep is None or not sub.requires_grad else _scale_keep(gs, *keep)
+    __slots__ = ("out", "xhat", "inv", "keep", "gain", "bias")
+
+    def __init__(self, x: Tensor, sub: np.ndarray, gain: Tensor, bias: Tensor, eps: float,
+                 rate: float, rng: np.random.Generator | None, training: bool):
+        self.keep = _keep_mask(sub, rate, rng, training)
+        if self.keep is not None:
+            mask, scale = self.keep
+            sub *= scale
+            sub *= mask
+        sub += x.data
+        sub -= sub.mean(axis=-1, keepdims=True)
+        self.out, self.inv = _normalize(sub, gain.data, bias.data, eps)
+        self.xhat, self.gain, self.bias = sub, gain, bias
+
+    def grads(self, g: np.ndarray, want_sub: bool):
+        """The sum's gradient, ``sub``'s (None unless ``want_sub``), the gain's and the bias's."""
+        gs, ggain, gbias = _layer_norm_grads(g, self.xhat, self.inv, self.gain, self.bias, True)
+        gsub = None
+        if want_sub:
+            gsub = gs if self.keep is None else _scale_keep(gs, *self.keep)
         return gs, gsub, ggain, gbias
 
-    return _apply(out, (x, sub, gain, bias), rule)
+
+def _ln_params(x: Tensor, gain, bias, eps: float) -> tuple[Tensor, Tensor]:
+    _check_layer_norm(x.data, eps)
+    return _as_tensor(gain, like=x.data), _as_tensor(bias, like=x.data)
+
+
+def residual_layer_norm(x: Tensor, h: Tensor, wo: Tensor, bo: Tensor, gain: Tensor,
+                        bias: Tensor, eps: float, rate: float,
+                        rng: np.random.Generator | None, training: bool) -> Tensor:
+    """``layer_norm(x + dropout(linear(h, wo, bo), rate, rng, training), gain, bias, eps)``
+    as one record: an attention sub-layer's output projection and residual tail.
+
+    ``h`` is the attention record's merged heads, (..., d), and the
+    projection ``h @ wo + bo`` is written into the buffer that becomes
+    xhat, so it is never kept. The record keeps the dropout mask, xhat and
+    the per-row 1/std beside its inputs; backward reads ``h`` for dWo.
+    """
+    x, h, wo = _as_tensor(x), _as_tensor(h), _as_tensor(wo)
+    bo = _as_tensor(bo, like=x.data)
+    gain, bias = _ln_params(x, gain, bias, eps)
+    d_in, d_out = wo.data.shape
+    if (h.data.shape[-1] != d_in or bo.data.shape != (d_out,)
+            or h.data.shape[:-1] + (d_out,) != x.data.shape):
+        raise ValueError(f"residual shapes disagree: x {x.data.shape}, h {h.data.shape}, "
+                         f"wo {wo.data.shape}, bo {bo.data.shape}")
+    h2 = h.data.reshape(-1, d_in)
+    sub = h2 @ wo.data
+    sub += bo.data
+    res = _Residual(x, sub.reshape(x.data.shape), gain, bias, eps, rate, rng, training)
+
+    def rule(g):
+        want_sub = h.requires_grad or wo.requires_grad or bo.requires_grad
+        gs, gsub, ggain, gbias = res.grads(g, want_sub)
+        gh = gwo = gbo = None
+        if want_sub:
+            g2 = gsub.reshape(-1, d_out)
+            gh = (g2 @ wo.data.T).reshape(h.data.shape) if h.requires_grad else None
+            gwo = h2.T @ g2 if wo.requires_grad else None
+            gbo = g2.sum(axis=0) if bo.requires_grad else None
+        return gs, gh, gwo, gbo, ggain, gbias
+
+    return _apply(res.out, (x, h, wo, bo, gain, bias), rule)
 
 
 def _gelu_tanh(h: np.ndarray) -> np.ndarray:
@@ -764,42 +818,51 @@ def gelu(x: Tensor) -> Tensor:
     return _apply(_gelu(xd, _gelu_tanh(xd)), (x,), rule)
 
 
-def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """``linear(gelu(linear(x, w1, b1)), w2, b2)`` as one record.
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, gain: Tensor,
+                 bias: Tensor, eps: float, rate: float, rng: np.random.Generator | None,
+                 training: bool) -> Tensor:
+    """``layer_norm(x + dropout(linear(gelu(linear(x, w1, b1)), w2, b2), rate, rng,
+    training), gain, bias, eps)`` as one record: a feed-forward sub-layer.
 
-    The record keeps the flattened input and the pre-activation h only.
-    Backward recomputes the tanh and the GELU output from h with the
-    forward's ops, so every value matches the three-record path bit for bit.
+    The block's output is written into the buffer that becomes xhat. The
+    record keeps the flattened input, the pre-activation h, the dropout
+    mask, xhat and the per-row 1/std. Backward recomputes the tanh and the
+    GELU output from h with the forward's ops, so every value matches the
+    composed primitives bit for bit.
     """
     x = _as_tensor(x)
     w1, w2 = _as_tensor(w1), _as_tensor(w2)
     b1, b2 = _as_tensor(b1, like=x.data), _as_tensor(b2, like=x.data)
+    gain, bias = _ln_params(x, gain, bias, eps)
     d_in, d_ff = w1.data.shape
     if (x.data.shape[-1] != d_in or b1.data.shape != (d_ff,)
-            or w2.data.shape[0] != d_ff or b2.data.shape != w2.data.shape[1:]):
+            or w2.data.shape != (d_ff, d_in) or b2.data.shape != (d_in,)):
         raise ValueError(
             f"feed_forward shapes disagree: x {x.data.shape}, w1 {w1.data.shape}, "
             f"b1 {b1.data.shape}, w2 {w2.data.shape}, b2 {b2.data.shape}")
-    d_out = w2.data.shape[1]
     x2 = x.data.reshape(-1, d_in)
     h = x2 @ w1.data
     h += b1.data
-    out = _gelu(h, _gelu_tanh(h)) @ w2.data
-    out += b2.data
-    shape = x.data.shape
+    sub = _gelu(h, _gelu_tanh(h)) @ w2.data
+    sub += b2.data
+    res = _Residual(x, sub.reshape(x.data.shape), gain, bias, eps, rate, rng, training)
 
     def rule(g):
-        g2 = g.reshape(-1, d_out)
+        gs, gsub, ggain, gbias = res.grads(g, True)
+        g2 = gsub.reshape(-1, d_in)
         t = _gelu_tanh(h)
         gw2 = _gelu(h, t).T @ g2 if w2.requires_grad else None
         gb2 = g2.sum(axis=0) if b2.requires_grad else None
         gh = _gelu_grad(h, t, g2 @ w2.data.T)
-        gx = (gh @ w1.data.T).reshape(shape) if x.requires_grad else None
+        gx = None
+        if x.requires_grad:
+            gx = (gh @ w1.data.T).reshape(x.data.shape)
+            gx += gs
         gw1 = x2.T @ gh if w1.requires_grad else None
         gb1 = gh.sum(axis=0) if b1.requires_grad else None
-        return gx, gw1, gb1, gw2, gb2
+        return gx, gw1, gb1, gw2, gb2, ggain, gbias
 
-    return _apply(out.reshape(shape[:-1] + (d_out,)), (x, w1, b1, w2, b2), rule)
+    return _apply(res.out, (x, w1, b1, w2, b2, gain, bias), rule)
 
 
 def sigmoid(x: Tensor) -> Tensor:

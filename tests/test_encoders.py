@@ -14,7 +14,7 @@ from crossmodal.encoders import (
     single_modality_layer,
 )
 from crossmodal.params import init_params, parameter_layout
-from crossmodal.tensor import Tape, Tensor, backward, tensor, tsum
+from crossmodal.tensor import Tape, Tensor, backward, linear, tensor, tsum
 from helpers import forward_one, unmasked_row
 
 CFG = ModelConfig(vocab_size=23, num_labels=5, num_answers=4, dropout=0.0).validate()
@@ -29,6 +29,12 @@ def _rand(rng, *shape):
     return tensor(rng.normal(size=shape).astype(np.float32))
 
 
+def _attend(q, c, mask, params, prefix, cfg=CFG):
+    """multi_head_attention, then the output projection the residual record applies."""
+    heads, weights = multi_head_attention(q, c, mask, params, prefix, cfg, RT)
+    return linear(heads, params[f"{prefix}.wo"], params[f"{prefix}.bo"]), weights
+
+
 # ---------------------------------------------------------------------------
 # multi_head_attention
 
@@ -38,7 +44,7 @@ def test_single_context_vector_gets_full_weight():
     rng = np.random.default_rng(2)
     q = _rand(rng, 1, 3, CFG.hidden_size)
     c = _rand(rng, 1, 1, CFG.hidden_size)
-    out, weights = multi_head_attention(q, c, None, params, "lang.0.attn", CFG, RT)
+    out, weights = _attend(q, c, None, params, "lang.0.attn")
     assert np.allclose(weights, 1.0)
     # with alpha == 1 the output is the value projection of the single
     # context vector, run through the output projection
@@ -69,7 +75,7 @@ def test_attention_matches_bruteforce_single_head():
     rng = np.random.default_rng(6)
     q = _rand(rng, 1, 2, 8)
     c = _rand(rng, 1, 3, 8)
-    out, weights = multi_head_attention(q, c, None, params, "lang.0.attn", cfg, RT)
+    out, weights = _attend(q, c, None, params, "lang.0.attn", cfg)
 
     def proj(x, w, b):
         return x @ params[f"lang.0.attn.{w}"].data + params[f"lang.0.attn.{b}"].data
@@ -188,11 +194,10 @@ def test_cross_path_is_live():
     _, vo, _ = cross_modality_layer(lang, vis, None, None, params, "cross.0", cfg, RT)
 
     # vision-only alternative: skip the cross sub-layer entirely
-    from crossmodal.encoders import _feed_forward, _sublayer, multi_head_attention as mha
+    from crossmodal.encoders import _attention_out, _feed_forward, multi_head_attention as mha
     self_r, _ = mha(vis, vis, None, params, "cross.0.self_r", cfg, RT)
-    vis_s = _sublayer(vis, self_r, params, "cross.0.self_r_ln", cfg, RT)
-    vo_self = _sublayer(vis_s, _feed_forward(vis_s, params, "cross.0.ff_r"),
-                        params, "cross.0.ff_r_ln", cfg, RT)
+    vis_s = _attention_out(vis, self_r, params, "cross.0.self_r", cfg, RT)
+    vo_self = _feed_forward(vis_s, params, "cross.0.ff_r", cfg, RT)
     assert np.abs(vo.data - vo_self.data).max() > 1e-3
 
 

@@ -491,91 +491,126 @@ def test_dropout_backward_uses_mask():
 _DROPOUT_MODES = pytest.mark.parametrize("rate, training", [(0.3, False), (0.0, True), (0.3, True)],
                                          ids=["eval", "rate0", "dropout"])
 
+_D, _D_FF = 8, 32
+
+
+def _sublayer_leaves(rng, dtype):
+    """x, merged heads h, wo, bo, w1, b1, w2, b2, gain, bias as leaves of ``dtype``."""
+    shapes = ((2, 5, _D), (2, 5, _D), (_D, _D), (_D,), (_D, _D_FF), (_D_FF,), (_D_FF, _D), (_D,),
+              (_D,), (_D,))
+    return [Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True) for shape in shapes]
+
+
+def _residual(x, h, wo, bo, w1, b1, w2, b2, gain, bias, rate, rng, training):
+    """The attention tail as one residual_layer_norm record."""
+    return residual_layer_norm(x, h, wo, bo, gain, bias, 1e-12, rate, rng, training)
+
+
+def _residual_composed(x, h, wo, bo, w1, b1, w2, b2, gain, bias, rate, rng, training):
+    return layer_norm(x + dropout(linear(h, wo, bo), rate, rng, training), gain, bias, 1e-12)
+
+
+def _ff(x, h, wo, bo, w1, b1, w2, b2, gain, bias, rate, rng, training):
+    """A feed-forward sub-layer as one feed_forward record."""
+    return feed_forward(x, w1, b1, w2, b2, gain, bias, 1e-12, rate, rng, training)
+
+
+def _ff_composed(x, h, wo, bo, w1, b1, w2, b2, gain, bias, rate, rng, training):
+    sub = linear(gelu(linear(x, w1, b1)), w2, b2)
+    return layer_norm(x + dropout(sub, rate, rng, training), gain, bias, 1e-12)
+
+
+_SUBLAYERS = (
+    (_residual, _residual_composed, ("x", "h", "wo", "bo", "gain", "bias")),
+    (_ff, _ff_composed, ("x", "w1", "b1", "w2", "b2", "gain", "bias")),
+)
+
+_LEAF_NAMES = ("x", "h", "wo", "bo", "w1", "b1", "w2", "b2", "gain", "bias")
+
+
+def _sublayer_gradcheck(fused, names, rate, training):
+    rng = np.random.default_rng(20)
+    with using_dtype(np.float64):
+        leaves = _sublayer_leaves(rng, np.float64)
+        mix = tensor(rng.normal(size=leaves[0].shape))
+
+        def loss():
+            return tsum(fused(*leaves, rate, np.random.default_rng(21), training) * mix)
+
+        by_name = dict(zip(_LEAF_NAMES, leaves))
+        gradcheck(loss, {name: by_name[name] for name in names})
+
 
 @_DROPOUT_MODES
 def test_residual_layer_norm_gradcheck(rate, training):
-    rng = np.random.default_rng(20)
-    with using_dtype(np.float64):
-        x, sub = f64(rng.normal(size=(2, 3, 6))), f64(rng.normal(size=(2, 3, 6)))
-        gain, bias = f64(rng.normal(size=(6,))), f64(rng.normal(size=(6,)))
-        mix = tensor(rng.normal(size=x.shape))
-
-        def loss():
-            out = residual_layer_norm(x, sub, gain, bias, 1e-12, rate,
-                                      np.random.default_rng(21), training)
-            return tsum(out * mix)
-
-        gradcheck(loss, {"x": x, "sub": sub, "gain": gain, "bias": bias})
+    fused, _, names = _SUBLAYERS[0]
+    _sublayer_gradcheck(fused, names, rate, training)
 
 
 def test_feed_forward_gradcheck():
-    rng = np.random.default_rng(22)
-    with using_dtype(np.float64):
-        x, w1, b1, w2, b2 = (f64(rng.normal(size=shape))
-                             for shape in ((2, 3, 4), (4, 7), (7,), (7, 4), (4,)))
-        mix = tensor(rng.normal(size=x.shape))
-        gradcheck(lambda: tsum(feed_forward(x, w1, b1, w2, b2) * mix),
-                  {"x": x, "w1": w1, "b1": b1, "w2": w2, "b2": b2})
+    fused, _, names = _SUBLAYERS[1]
+    for rate, training in ((0.3, False), (0.0, True), (0.3, True)):
+        _sublayer_gradcheck(fused, names, rate, training)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @_DROPOUT_MODES
 def test_fused_sublayer_matches_composed_primitives_bit_for_bit(dtype, rate, training):
-    """A feed-forward sub-layer as the encoders build it: ``x`` feeds the block and its residual."""
-    rng = np.random.default_rng(23)
-    d, d_ff = 8, 32
-    with using_dtype(dtype):
-        x0, w1, b1, w2, b2, gain, bias = (
-            Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
-            for shape in ((2, 5, d), (d, d_ff), (d_ff,), (d_ff, d), (d,), (d,), (d,)))
-        mix = tensor(rng.normal(size=x0.shape))
-        leaves = [x0, w1, b1, w2, b2, gain, bias]
-        results = []
-        for fused in (True, False):
-            for t in leaves:
-                t.grad = None
-            drop_rng = np.random.default_rng(24)
-            with Tape():
-                x = x0 * 1.5
-                if fused:
-                    out = residual_layer_norm(x, feed_forward(x, w1, b1, w2, b2), gain, bias,
-                                              1e-12, rate, drop_rng, training)
-                else:
-                    sub = linear(gelu(linear(x, w1, b1)), w2, b2)
-                    out = layer_norm(x + dropout(sub, rate, drop_rng, training), gain, bias, 1e-12)
-                backward(tsum(out * mix))
-            results.append([out.data] + [t.grad for t in leaves] + [drop_rng.random(3)])
-    for got, want in zip(*results):
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+    """Each fused record against its primitives, as the encoders build them: ``x``
+    feeds the sub-layer and, for feed_forward, the block."""
+    for fused, composed, names in _SUBLAYERS:
+        rng = np.random.default_rng(23)
+        with using_dtype(dtype):
+            leaves = _sublayer_leaves(rng, dtype)
+            by_name = dict(zip(_LEAF_NAMES, leaves))
+            mix = tensor(rng.normal(size=leaves[0].shape))
+            results = []
+            for build in (fused, composed):
+                for t in leaves:
+                    t.grad = None
+                drop_rng = np.random.default_rng(24)
+                with Tape():
+                    x = leaves[0] * 1.5
+                    out = build(x, *leaves[1:], rate, drop_rng, training)
+                    backward(tsum(out * mix))
+                results.append([out.data] + [by_name[name].grad for name in names]
+                               + [drop_rng.random(3)])
+        for got, want in zip(*results):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("rate, training", [(0.3, False), (0.0, True)], ids=["eval", "rate0"])
 def test_residual_layer_norm_without_dropout_leaves_rng_untouched(rate, training):
     rng = np.random.default_rng(25)
     before = rng.bit_generator.state
-    x, sub = tensor(np.ones((2, 4))), tensor(np.arange(8.0).reshape(2, 4))
-    out = residual_layer_norm(x, sub, tensor(np.ones(4)), tensor(np.zeros(4)), 1e-12,
+    x, h = tensor(np.ones((2, 4))), tensor(np.arange(8.0).reshape(2, 4))
+    eye, zeros = tensor(np.eye(4)), tensor(np.zeros(4))
+    out = residual_layer_norm(x, h, eye, zeros, tensor(np.ones(4)), zeros, 1e-12,
                               rate, rng, training)
     assert rng.bit_generator.state == before
-    assert np.array_equal(out.data, layer_norm(x + sub, tensor(np.ones(4)),
-                                               tensor(np.zeros(4))).data)
+    assert np.array_equal(out.data, layer_norm(x + h, tensor(np.ones(4)), zeros).data)
 
 
 def test_residual_layer_norm_rejects_mismatched_shapes_and_rates():
-    x, ones = tensor(np.zeros((2, 4))), tensor(np.ones(4))
+    x, ones, eye = tensor(np.zeros((2, 4))), tensor(np.ones(4)), tensor(np.eye(4))
     with pytest.raises(ValueError, match="residual shapes disagree"):
-        residual_layer_norm(x, tensor(np.zeros((2, 3))), ones, ones, 1e-12, 0.0, None, False)
+        residual_layer_norm(x, tensor(np.zeros((2, 3))), eye, ones, ones, ones, 1e-12, 0.0,
+                            None, False)
+    with pytest.raises(ValueError, match="residual shapes disagree"):
+        residual_layer_norm(x, tensor(np.zeros((3, 4))), eye, ones, ones, ones, 1e-12, 0.0,
+                            None, False)
     with pytest.raises(ValueError, match="rate"):
-        residual_layer_norm(x, x, ones, ones, 1e-12, 1.0, None, False)
+        residual_layer_norm(x, x, eye, ones, ones, ones, 1e-12, 1.0, None, False)
     with pytest.raises(ValueError, match="needs an rng"):
-        residual_layer_norm(x, x, ones, ones, 1e-12, 0.1, None, True)
+        residual_layer_norm(x, x, eye, ones, ones, ones, 1e-12, 0.1, None, True)
 
 
 def test_feed_forward_shape_error_names_shapes():
-    x, w = tensor(np.zeros((2, 3))), tensor(np.zeros((3, 5)))
+    x, w, ones = tensor(np.zeros((2, 3))), tensor(np.zeros((3, 5))), tensor(np.ones(3))
     with pytest.raises(ValueError, match=r"feed_forward shapes disagree.*\(4, 3\)"):
-        feed_forward(x, w, tensor(np.zeros(5)), tensor(np.zeros((4, 3))), tensor(np.zeros(3)))
+        feed_forward(x, w, tensor(np.zeros(5)), tensor(np.zeros((4, 3))), tensor(np.zeros(3)),
+                     ones, ones, 1e-12, 0.0, None, False)
 
 
 def test_layer_norm_and_gelu_match_the_written_out_float32_formulas():

@@ -2,6 +2,7 @@
 
 import json
 import os
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -18,6 +19,7 @@ from crossmodal.data import (
     generate_pairwise_corpus,
     generate_synthetic_corpus,
 )
+from crossmodal.embeddings import embed_objects, embed_words
 from crossmodal.encoders import Runtime, forward_batch
 from crossmodal.heads import pairwise_logit, pretrain_losses
 from crossmodal.optim import OptimizerState
@@ -323,6 +325,29 @@ def test_pretraining_step_records_one_attention_per_block():
     assert len(records) < 200
 
 
+def test_encoder_records_one_residual_per_attention_and_one_per_feed_forward():
+    # the output projection and each feed-forward residual tail sit inside
+    # these records, so no sub-layer output outlives its forward
+    bundle = small_bundle()
+    ckpt = make_initial_checkpoint(RunConfig(), bundle, seed=0)
+    cfg, params = ckpt.config, ckpt.params
+    maker = BatchMaker(bundle.split("train"), bundle.store, bundle.vocab,
+                       AnswerTable(ckpt.extra["answers"]), MaskingConfig(), cfg)
+    packed = collate(maker.make_batch(bundle.split("train")[:4], np.random.default_rng(0)),
+                     bundle.vocab)
+    with Tape() as embeddings:
+        embed_words(packed.token_ids, params, cfg)
+        embed_objects(packed.roi_features, packed.boxes, packed.obj_mask_flags, params, cfg)
+    with Tape() as tape:
+        forward_batch(packed, params, cfg, Runtime(training=True, rng=np.random.default_rng(1)))
+    ops = Counter(rule.__qualname__.split(".")[0] for _, _, rule in tape.records)
+    blocks = cfg.n_lang_layers + cfg.n_vis_layers + 4 * cfg.n_cross_layers
+    assert ops["attention"] == ops["residual_layer_norm"] == blocks
+    assert ops["feed_forward"] == cfg.n_lang_layers + cfg.n_vis_layers + 2 * cfg.n_cross_layers
+    assert ops["getitem"] == 1  # the [CLS] row
+    assert len(tape) == len(embeddings) + 35 + 1
+
+
 def _pretraining_step_setup(seed=0, batch=8):
     """Desk-model parameters from a fresh checkpoint and a step loss over train rows."""
     bundle = small_bundle()
@@ -339,6 +364,40 @@ def _pretraining_step_setup(seed=0, batch=8):
         return pretrain_losses(packed, out, params, qa_enabled=True).total
 
     return train, ckpt.params, step_loss
+
+
+def test_backward_empties_the_tape_and_leaves_gradients_on_leaves_only():
+    train, params, step_loss = _pretraining_step_setup(seed=3)
+    zero_grads(params)
+    with Tape() as tape:
+        loss = step_loss(params, train, np.random.default_rng(4))
+        outputs = [out for out, _, _ in tape.records]
+        backward(loss)
+    assert len(tape) == 0
+    assert all(p.grad is not None and p.grad.shape == p.data.shape for p in params.values())
+    assert np.abs(params["lang.0.attn.wo"].grad).sum() > 0
+    assert np.abs(params["cross.1.ff_r.w1"].grad).sum() > 0
+    assert loss in outputs
+    assert all(out.grad is None for out in outputs)
+
+
+def test_backward_frees_as_it_sweeps():
+    # each record and its output's gradient go as soon as the sweep has run
+    # the record's rule, so backward adds little to what the tape holds
+    # (keeping them all to the end of the sweep peaked at 1.43x)
+    train, params, step_loss = _pretraining_step_setup(seed=0, batch=8)
+    zero_grads(params)
+    tracemalloc.start()
+    try:
+        with Tape():
+            loss = step_loss(params, train, np.random.default_rng(2))
+            at_start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * at_start, (at_start, peak)
 
 
 def _assert_one_buffer(arrays):
