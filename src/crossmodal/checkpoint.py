@@ -26,6 +26,7 @@ byte-identical.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import asdict, dataclass, fields
@@ -98,7 +99,8 @@ def _read_exact(fh, n: int) -> bytes:
     return raw
 
 
-def _read_tensor(fh) -> tuple[str, np.ndarray]:
+def _read_tensor(fh, size: int) -> tuple[str, np.ndarray]:
+    """One tensor block from ``fh``, a file of ``size`` bytes."""
     (name_len,) = struct.unpack("<H", _read_exact(fh, 2))
     name = _read_exact(fh, name_len).decode("utf-8")
     code, ndim = struct.unpack("<BB", _read_exact(fh, 2))
@@ -106,8 +108,12 @@ def _read_tensor(fh) -> tuple[str, np.ndarray]:
         raise CheckpointFormatError(f"tensor {name!r} has unknown dtype code {code}")
     shape = tuple(struct.unpack("<I", _read_exact(fh, 4))[0] for _ in range(ndim))
     dtype = _CODE_DTYPES[code]
-    count = int(np.prod(shape)) if shape else 1
-    data = np.frombuffer(_read_exact(fh, count * dtype.itemsize), dtype=dtype)
+    nbytes = math.prod(shape) * dtype.itemsize
+    # a corrupt extent must not become a read, or an allocation, of that many bytes
+    if nbytes > size - fh.tell():
+        raise CheckpointFormatError(f"unexpected end of checkpoint file in tensor {name!r} "
+                                    f"of shape {shape}")
+    data = np.frombuffer(_read_exact(fh, nbytes), dtype=dtype)
     return name, data.reshape(shape).copy()
 
 
@@ -201,6 +207,7 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None) -> Checkpo
     """
     try:
         with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
             magic = fh.read(4)
             if magic != MAGIC:
                 raise CheckpointFormatError(f"not a checkpoint file (magic {magic!r})")
@@ -216,14 +223,14 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None) -> Checkpo
 
             known = {f.name for f in fields(ModelConfig)}
             stored_model = {k: v for k, v in header.get("model", {}).items() if k in known}
-            config = ModelConfig(**stored_model)
+            config = ModelConfig(**stored_model).validate()
             heads = tuple(header.get("heads", ()))
             extra = header.get("extra", {})
 
             (n_tensors,) = struct.unpack("<I", _read_exact(fh, 4))
             raw_params: dict[str, np.ndarray] = {}
             for _ in range(n_tensors):
-                name, data = _read_tensor(fh)
+                name, data = _read_tensor(fh, size)
                 raw_params[name] = data
 
             opt_state = None
@@ -235,7 +242,7 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None) -> Checkpo
                 m: dict[str, np.ndarray] = {}
                 v: dict[str, np.ndarray] = {}
                 for _ in range(n_moments):
-                    name, data = _read_tensor(fh)
+                    name, data = _read_tensor(fh, size)
                     if name.startswith("m."):
                         m[name[2:]] = data
                     elif name.startswith("v."):

@@ -17,7 +17,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -253,9 +253,15 @@ def run_pretraining(bundle: DataBundle, run_cfg: RunConfig, seed: int, out_dir,
     cfg, table = resolve_model_config(run_cfg.model, bundle, sched.answer_coverage)
     total_steps = _total_steps(len(train_records), sched.batch_size, sched.epochs)
 
+    # what a resumed run must share with its checkpoint beyond the optimizer's schedule
+    run_extra = {"phase2_lr": sched.phase2_lr, "qa_start_fraction": sched.qa_start_fraction,
+                 "clip_norm": sched.clip_norm, "gate_object_tasks": sched.gate_object_tasks,
+                 **asdict(run_cfg.masking)}
     resume_epoch = None
     if resume is not None:
-        ckpt = load_checkpoint(resume, expected_config=cfg)
+        # compared before the tensors are checked against cfg, so another
+        # answer table is named as such rather than as a tensor shape
+        ckpt = load_checkpoint(resume)
         params = ckpt.params
         opt = ckpt.opt_state
         if opt is None:
@@ -268,7 +274,11 @@ def run_pretraining(bundle: DataBundle, run_cfg: RunConfig, seed: int, out_dir,
                 ("peak_lr", opt.peak_lr, sched.peak_lr),
                 ("warmup_fraction", opt.warmup_fraction, sched.warmup_fraction),
                 ("total_steps", opt.total_steps, total_steps),
-                ("answers", ckpt.extra.get("answers"), table.answers)):
+                ("answers", ckpt.extra.get("answers"), table.answers),
+                *((key, ckpt.extra[key], value) for key, value in run_extra.items()
+                  if key in ckpt.extra),
+                *((f.name, getattr(ckpt.config, f.name), getattr(cfg, f.name))
+                  for f in fields(ModelConfig))):
             if stored != given:
                 raise ValueError(f"{resume} was trained with {name} {stored}, but the "
                                  f"config and corpus give {given}; resume under the same "
@@ -297,7 +307,7 @@ def run_pretraining(bundle: DataBundle, run_cfg: RunConfig, seed: int, out_dir,
             config=cfg, heads=(PRETRAIN_HEADS,), params=params,
             opt_state=opt, rng_state=_rng_state(train_rng),
             extra={"epoch": epoch, "answers": table.answers,
-                   "answer_coverage": sched.answer_coverage})
+                   "answer_coverage": sched.answer_coverage, **run_extra})
 
     def save_epoch(epoch: int) -> None:
         save_checkpoint(os.path.join(out_dir, f"checkpoint-epoch-{epoch + 1}.ckpt"),

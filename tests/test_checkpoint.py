@@ -1,12 +1,16 @@
 """Checkpoint binary format: byte identity, validation errors, state restore."""
 
+import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crossmodal.checkpoint import (
     Checkpoint,
+    CheckpointError,
     CheckpointFormatError,
     CheckpointNameError,
     CheckpointShapeError,
@@ -118,6 +122,66 @@ def test_rejects_truncated_file(tmp_path):
     path.write_bytes(blob[: len(blob) // 2])
     with pytest.raises(CheckpointFormatError, match="end of checkpoint"):
         load_checkpoint(path)
+
+
+# a small model, so a checkpoint is a few kilobytes and every offset is cheap to try
+SMALL = ModelConfig(n_lang_layers=1, n_cross_layers=1, n_vis_layers=1, hidden_size=8,
+                    num_heads=2, feat_dim=4, vocab_size=7, num_labels=3, num_answers=2,
+                    max_sentence_len=4, objects_per_image=2).validate()
+
+
+def _small_checkpoint_bytes() -> bytes:
+    params = init_params(SMALL, np.random.default_rng(0))
+    ckpt = Checkpoint(config=SMALL, heads=("pretrain",), params=params,
+                      opt_state=OptimizerState.init(params, 1e-3, 0.05, 10),
+                      rng_state=np.random.default_rng(1).bit_generator.state,
+                      extra={"answers": ["a", "b"], "epoch": 1})
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "small.ckpt")
+        save_checkpoint(path, ckpt)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+SMALL_BYTES = _small_checkpoint_bytes()
+
+
+def _load_bytes(raw: bytes):
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "fuzzed.ckpt")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        return load_checkpoint(path)
+
+
+def test_small_checkpoint_loads():
+    assert _load_bytes(SMALL_BYTES).config == SMALL
+
+
+def test_stored_config_that_does_not_validate_is_format_error():
+    raw = bytearray(SMALL_BYTES)
+    at = raw.index(b'"num_heads":2') + len(b'"num_heads":')
+    raw[at] = ord("3")  # 8 is not divisible by 3
+    with pytest.raises(CheckpointFormatError, match="num_heads 3"):
+        _load_bytes(bytes(raw))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=len(SMALL_BYTES) - 1))
+def test_checkpoint_truncated_anywhere_is_format_error(cut):
+    with pytest.raises(CheckpointFormatError):
+        _load_bytes(SMALL_BYTES[:cut])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(min_value=0, max_value=len(SMALL_BYTES) - 1), st.integers(1, 255))
+def test_checkpoint_with_one_flipped_byte_loads_or_raises_a_checkpoint_error(offset, xor):
+    raw = bytearray(SMALL_BYTES)
+    raw[offset] ^= xor
+    try:
+        _load_bytes(bytes(raw))
+    except CheckpointError:
+        pass
 
 
 def test_rng_state_restores_stream(tmp_path):

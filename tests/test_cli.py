@@ -8,7 +8,7 @@ import struct
 import numpy as np
 import pytest
 
-from crossmodal.checkpoint import load_checkpoint
+from crossmodal.checkpoint import load_checkpoint, save_checkpoint
 from crossmodal.cli import main
 from crossmodal.data import FeatureStore, load_corpus
 
@@ -389,6 +389,12 @@ def test_resume_from_finetuned_checkpoint_is_config_error(one_image_dev, tmp_pat
     ({"epochs": 2, "batch_size": 8, "peak_lr": 1e-3, "warmup_fraction": 0.1}, "warmup_fraction"),
     ({"epochs": 3, "batch_size": 8, "peak_lr": 1e-3}, "total_steps"),
     ({"epochs": 2, "batch_size": 4, "peak_lr": 1e-3}, "total_steps"),
+    ({"epochs": 2, "batch_size": 8, "peak_lr": 1e-3, "phase2_lr": 1e-2}, "phase2_lr"),
+    ({"epochs": 2, "batch_size": 8, "peak_lr": 1e-3, "qa_start_fraction": 0.0},
+     "qa_start_fraction"),
+    ({"epochs": 2, "batch_size": 8, "peak_lr": 1e-3, "clip_norm": None}, "clip_norm"),
+    ({"epochs": 2, "batch_size": 8, "peak_lr": 1e-3, "gate_object_tasks": True},
+     "gate_object_tasks"),
 ])
 def test_resume_under_another_schedule_is_config_error(schedule, field, data_dir, run_dir,
                                                        tmp_path, capsys):
@@ -401,6 +407,45 @@ def test_resume_under_another_schedule_is_config_error(schedule, field, data_dir
     assert code == 2
     assert f"was trained with {field} " in capsys.readouterr().err
     assert not os.path.exists(out / "metrics.jsonl")
+
+
+@pytest.mark.parametrize("section, field, value", [
+    ("masking", "word_mask_prob", 0.5),
+    ("masking", "object_mask_prob", 0.5),
+    ("masking", "mismatch_prob", 0.25),
+    ("model", "dropout", 0.2),
+    ("model", "hidden_size", 32),
+])
+def test_resume_under_another_masking_or_model_is_config_error(section, field, value, data_dir,
+                                                               run_dir, tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"schedule": {"epochs": 2, "batch_size": 8, "peak_lr": 1e-3},
+                                    section: {field: value}}))
+    out = tmp_path / "resumed"
+    code = main(["pretrain", "--data", str(data_dir), "--config", str(cfg_path),
+                 "--seed", "1", "--out", str(out),
+                 "--resume", str(run_dir / "checkpoint-epoch-1.ckpt")])
+    assert code == 2
+    assert f"was trained with {field} " in capsys.readouterr().err
+    assert not os.path.exists(out / "metrics.jsonl")
+
+
+def test_resume_from_a_checkpoint_without_the_run_keys_checks_only_the_rest(data_dir, run_dir,
+                                                                            tmp_path):
+    # a checkpoint written before the keys were stored: another phase2_lr resumes
+    ckpt = load_checkpoint(run_dir / "checkpoint-epoch-1.ckpt")
+    for key in ("phase2_lr", "qa_start_fraction", "clip_norm", "gate_object_tasks",
+                "word_mask_prob", "object_mask_prob", "mismatch_prob"):
+        del ckpt.extra[key]
+    old = tmp_path / "old.ckpt"
+    save_checkpoint(old, ckpt)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"schedule": {"epochs": 2, "batch_size": 8, "peak_lr": 1e-3,
+                                                 "phase2_lr": 1e-2}}))
+    out = tmp_path / "resumed"
+    assert main(["pretrain", "--data", str(data_dir), "--config", str(cfg_path),
+                 "--seed", "1", "--out", str(out), "--resume", str(old)]) == 0
+    assert os.path.exists(out / "checkpoint-final.ckpt")
 
 
 def test_resume_on_another_answer_table_is_config_error(data_dir, run_dir, tmp_path, capsys):
@@ -417,6 +462,20 @@ def test_resume_on_another_answer_table_is_config_error(data_dir, run_dir, tmp_p
     cfg_path.write_text(json.dumps({"schedule": {"epochs": 2, "batch_size": 8, "peak_lr": 1e-3}}))
     out = tmp_path / "resumed"
     code = main(["pretrain", "--data", str(bad), "--config", str(cfg_path),
+                 "--seed", "1", "--out", str(out),
+                 "--resume", str(run_dir / "checkpoint-epoch-1.ckpt")])
+    assert code == 2
+    assert "was trained with answers " in capsys.readouterr().err
+    assert not os.path.exists(out / "metrics.jsonl")
+
+
+def test_resume_on_a_resized_answer_table_is_config_error(data_dir, run_dir, tmp_path, capsys):
+    # fewer answers, so the QA head's shape differs too: the table is named, not the tensor
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"schedule": {"epochs": 2, "batch_size": 8, "peak_lr": 1e-3,
+                                                 "answer_coverage": 0.5}}))
+    out = tmp_path / "resumed"
+    code = main(["pretrain", "--data", str(data_dir), "--config", str(cfg_path),
                  "--seed", "1", "--out", str(out),
                  "--resume", str(run_dir / "checkpoint-epoch-1.ckpt")])
     assert code == 2
