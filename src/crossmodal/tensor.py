@@ -359,19 +359,23 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ValueError(
             f"linear shapes disagree: x {x.data.shape}, w {w.data.shape}, b {b.data.shape}"
         )
-    x2, wd = x.data.reshape(-1, d_in), w.data
-    out = x2 @ wd
+    x2 = x.data.reshape(-1, d_in)
+    out = x2 @ w.data
     out += b.data
-    shape = x.data.shape
 
     def rule(g):
-        g2 = g.reshape(-1, d_out)
-        gx = (g2 @ wd.T).reshape(shape) if x.requires_grad else None
-        gw = x2.T @ g2 if w.requires_grad else None
-        gb = g2.sum(axis=0) if b.requires_grad else None
-        return gx, gw, gb
+        return _linear_grads(g.reshape(-1, d_out), x2, x, w, b)
 
-    return _apply(out.reshape(shape[:-1] + (d_out,)), (x, w, b), rule)
+    return _apply(out.reshape(x.data.shape[:-1] + (d_out,)), (x, w, b), rule)
+
+
+def _linear_grads(g2: np.ndarray, x2: np.ndarray, x: Tensor, w: Tensor, b: Tensor):
+    """dX, dW and db of ``x2 @ w + b`` for the flattened rows ``x2`` of ``x`` and the
+    flattened output gradient ``g2``, each None where its input needs no gradient."""
+    gx = (g2 @ w.data.T).reshape(x.data.shape) if x.requires_grad else None
+    gw = x2.T @ g2 if w.requires_grad else None
+    gb = g2.sum(axis=0) if b.requires_grad else None
+    return gx, gw, gb
 
 
 def attention(query: Tensor, context: Tensor, wq: Tensor, bq: Tensor, wk: Tensor,
@@ -689,37 +693,29 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
     return _apply(out, (x, gain, bias), rule)
 
 
-class _Residual:
-    """``layer_norm(x + dropout(sub))`` for a fresh ``sub`` buffer that becomes xhat.
+def _residual(x: Tensor, sub: np.ndarray, gain: Tensor, bias: Tensor, eps: float,
+              rate: float, rng: np.random.Generator | None, training: bool):
+    """``layer_norm(x + dropout(sub))`` for a fresh ``sub`` buffer, which becomes xhat.
 
-    The forward draws the same mask as ``dropout`` (one
-    ``rng.random(sub.shape)``, only in training mode at a rate above 0) and
-    keeps it as ``bool`` with the scalar 1/(1 - rate), beside xhat and the
-    per-row 1/std. ``grads`` splits the output gradient into the sum's
-    gradient, which ``x`` takes as it is, and ``sub``'s, through the mask.
+    It draws the same mask as ``dropout`` (one ``rng.random(sub.shape)``,
+    only in training mode at a rate above 0) and keeps it as ``bool`` with
+    the scalar 1/(1 - rate), beside xhat and the per-row 1/std. Returns the
+    output and ``grads(g)``: the sum's gradient, which ``x`` takes as it is,
+    ``sub``'s, through the mask, and the gain's and the bias's.
     """
+    keep = _keep_mask(sub, rate, rng, training)
+    if keep is not None:
+        sub *= keep[1]
+        sub *= keep[0]
+    sub += x.data
+    sub -= sub.mean(axis=-1, keepdims=True)
+    out, inv = _normalize(sub, gain.data, bias.data, eps)
 
-    __slots__ = ("out", "xhat", "inv", "keep", "gain", "bias")
+    def grads(g):
+        gs, ggain, gbias = _layer_norm_grads(g, sub, inv, gain, bias, True)
+        return gs, gs if keep is None else _scale_keep(gs, *keep), ggain, gbias
 
-    def __init__(self, x: Tensor, sub: np.ndarray, gain: Tensor, bias: Tensor, eps: float,
-                 rate: float, rng: np.random.Generator | None, training: bool):
-        self.keep = _keep_mask(sub, rate, rng, training)
-        if self.keep is not None:
-            mask, scale = self.keep
-            sub *= scale
-            sub *= mask
-        sub += x.data
-        sub -= sub.mean(axis=-1, keepdims=True)
-        self.out, self.inv = _normalize(sub, gain.data, bias.data, eps)
-        self.xhat, self.gain, self.bias = sub, gain, bias
-
-    def grads(self, g: np.ndarray, want_sub: bool):
-        """The sum's gradient, ``sub``'s (None unless ``want_sub``), the gain's and the bias's."""
-        gs, ggain, gbias = _layer_norm_grads(g, self.xhat, self.inv, self.gain, self.bias, True)
-        gsub = None
-        if want_sub:
-            gsub = gs if self.keep is None else _scale_keep(gs, *self.keep)
-        return gs, gsub, ggain, gbias
+    return out, grads
 
 
 def _ln_params(x: Tensor, gain, bias, eps: float) -> tuple[Tensor, Tensor]:
@@ -749,20 +745,13 @@ def residual_layer_norm(x: Tensor, h: Tensor, wo: Tensor, bo: Tensor, gain: Tens
     h2 = h.data.reshape(-1, d_in)
     sub = h2 @ wo.data
     sub += bo.data
-    res = _Residual(x, sub.reshape(x.data.shape), gain, bias, eps, rate, rng, training)
+    out, grads = _residual(x, sub.reshape(x.data.shape), gain, bias, eps, rate, rng, training)
 
     def rule(g):
-        want_sub = h.requires_grad or wo.requires_grad or bo.requires_grad
-        gs, gsub, ggain, gbias = res.grads(g, want_sub)
-        gh = gwo = gbo = None
-        if want_sub:
-            g2 = gsub.reshape(-1, d_out)
-            gh = (g2 @ wo.data.T).reshape(h.data.shape) if h.requires_grad else None
-            gwo = h2.T @ g2 if wo.requires_grad else None
-            gbo = g2.sum(axis=0) if bo.requires_grad else None
-        return gs, gh, gwo, gbo, ggain, gbias
+        gs, gsub, ggain, gbias = grads(g)
+        return (gs, *_linear_grads(gsub.reshape(-1, d_out), h2, h, wo, bo), ggain, gbias)
 
-    return _apply(res.out, (x, h, wo, bo, gain, bias), rule)
+    return _apply(out, (x, h, wo, bo, gain, bias), rule)
 
 
 def _gelu_tanh(h: np.ndarray) -> np.ndarray:
@@ -845,10 +834,10 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, gain
     h += b1.data
     sub = _gelu(h, _gelu_tanh(h)) @ w2.data
     sub += b2.data
-    res = _Residual(x, sub.reshape(x.data.shape), gain, bias, eps, rate, rng, training)
+    out, grads = _residual(x, sub.reshape(x.data.shape), gain, bias, eps, rate, rng, training)
 
     def rule(g):
-        gs, gsub, ggain, gbias = res.grads(g, True)
+        gs, gsub, ggain, gbias = grads(g)
         g2 = gsub.reshape(-1, d_in)
         t = _gelu_tanh(h)
         gw2 = _gelu(h, t).T @ g2 if w2.requires_grad else None
@@ -862,7 +851,7 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, gain
         gb1 = gh.sum(axis=0) if b1.requires_grad else None
         return gx, gw1, gb1, gw2, gb2, ggain, gbias
 
-    return _apply(res.out, (x, w1, b1, w2, b2, gain, bias), rule)
+    return _apply(out, (x, w1, b1, w2, b2, gain, bias), rule)
 
 
 def sigmoid(x: Tensor) -> Tensor:
