@@ -6,7 +6,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from crossmodal.checkpoint import (
     Checkpoint,
@@ -146,6 +146,15 @@ def _small_checkpoint_bytes() -> bytes:
 SMALL_BYTES = _small_checkpoint_bytes()
 
 
+def _first_extent_offset(raw: bytes) -> int:
+    """Offset of the first tensor's first u32 extent."""
+    at = 8  # magic, version
+    for _ in range(2):  # header, rng state
+        at += 4 + struct.unpack_from("<I", raw, at)[0]
+    (name_len,) = struct.unpack_from("<H", raw, at + 4)  # past the tensor count
+    return at + 4 + 2 + name_len + 2  # past the name, dtype code and ndim
+
+
 def _load_bytes(raw: bytes):
     with tempfile.TemporaryDirectory() as work:
         path = os.path.join(work, "fuzzed.ckpt")
@@ -175,6 +184,8 @@ def test_checkpoint_truncated_anywhere_is_format_error(cut):
 
 @settings(max_examples=500, deadline=None)
 @given(st.integers(min_value=0, max_value=len(SMALL_BYTES) - 1), st.integers(1, 255))
+# an extent's high byte: about 4e9 elements, once read as that many bytes (MemoryError)
+@example(_first_extent_offset(SMALL_BYTES) + 3, 0xFF)
 def test_checkpoint_with_one_flipped_byte_loads_or_raises_a_checkpoint_error(offset, xor):
     raw = bytearray(SMALL_BYTES)
     raw[offset] ^= xor
