@@ -259,8 +259,9 @@ def run_pretraining(bundle: DataBundle, run_cfg: RunConfig, seed: int, out_dir,
                  **asdict(run_cfg.masking)}
     resume_epoch = None
     if resume is not None:
-        # compared before the tensors are checked against cfg, so another
-        # answer table is named as such rather than as a tensor shape
+        # checked against its own stored config, then compared with cfg field
+        # by field below, so another answer table is named rather than the
+        # head tensor whose shape it changes
         ckpt = load_checkpoint(resume)
         params = ckpt.params
         opt = ckpt.opt_state
