@@ -35,6 +35,16 @@ or a quarter (float32) of its memory. ``matmul``, ``softmax``, ``dropout``,
 ``gelu`` and ``layer_norm`` stay general primitives, and the tests compose
 them as the reference for the fused records.
 
+Row reductions go through four helpers, because the model's rows are short
+(8-16 context positions, 64 features) and numpy's reduce along the last
+axis runs one short loop per row. ``_row_max`` reduces a transposed copy
+of the rows column by column, which is exact. ``_row_sum`` (the softmax
+normaliser and its backward row sum) is one GEMV against a float64 ones
+vector rounded once to the row dtype, so reordering a row almost never
+changes it. ``_row_mean`` (layer-norm means) and ``_col_sum`` (bias and gain
+gradients) are one GEMV in the row dtype. ``softmax`` and ``log_softmax``
+use them too, so composed references round as the fused records do.
+
 The backward sweep frees as it goes: it pops each record, runs its rule on
 the output's gradient, then drops that gradient and the record. A record's
 activations and an intermediate's gradient therefore live only until
@@ -61,6 +71,7 @@ precision). Switch with the ``using_dtype`` context manager.
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from contextlib import contextmanager
@@ -270,6 +281,59 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# row and column reductions
+
+
+@functools.lru_cache(maxsize=64)
+def _filled(n: int, value: float, dtype) -> np.ndarray:
+    """A read-only (n,) array of ``value`` in ``dtype``, shared between calls."""
+    out = np.full(n, value, dtype=dtype)
+    out.flags.writeable = False
+    return out
+
+
+def _rows(y: np.ndarray) -> np.ndarray:
+    return y.reshape(-1, y.shape[-1])
+
+
+def _keep_rows(r: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """One value per row of ``y`` as an array of ``y``'s shape with a last axis of 1."""
+    return r.reshape(y.shape[:-1] + (1,))
+
+
+def _row_max(y: np.ndarray) -> np.ndarray:
+    """``y.max(axis=-1, keepdims=True)``, from a column reduction of the transposed rows.
+
+    Max does not round, so this is exact. The rows are copied transposed so
+    numpy's reduce loop runs along them instead of once per (short) row.
+    """
+    return _keep_rows(np.ascontiguousarray(_rows(y).T).max(axis=0), y)
+
+
+def _row_sum(y: np.ndarray) -> np.ndarray:
+    """``y.sum(axis=-1, keepdims=True)``, accumulated in float64 by one GEMV and
+    rounded once to ``y``'s dtype.
+
+    float64 holds the partial sums of a short float32 row exactly unless its
+    terms span more than about 25 binades, so reordering a row almost never
+    changes the result.
+    """
+    ones = _filled(y.shape[-1], 1.0, np.float64)
+    return _keep_rows((_rows(y) @ ones).astype(y.dtype, copy=False), y)
+
+
+def _row_mean(x: np.ndarray) -> np.ndarray:
+    """``x.mean(axis=-1, keepdims=True)`` as one GEMV against a 1/d vector in ``x``'s dtype."""
+    d = x.shape[-1]
+    return _keep_rows(_rows(x) @ _filled(d, 1.0 / d, x.dtype), x)
+
+
+def _col_sum(g2: np.ndarray) -> np.ndarray:
+    """``g2.sum(axis=0)`` of a 2-D gradient as one GEMV, ``ones @ g2``."""
+    return _filled(g2.shape[0], 1.0, g2.dtype) @ g2
+
+
+# ---------------------------------------------------------------------------
 # primitives
 
 
@@ -374,7 +438,7 @@ def _linear_grads(g2: np.ndarray, x2: np.ndarray, x: Tensor, w: Tensor, b: Tenso
     flattened output gradient ``g2``, each None where its input needs no gradient."""
     gx = (g2 @ w.data.T).reshape(x.data.shape) if x.requires_grad else None
     gw = x2.T @ g2 if w.requires_grad else None
-    gb = g2.sum(axis=0) if b.requires_grad else None
+    gb = _col_sum(g2) if b.requires_grad else None
     return gx, gw, gb
 
 
@@ -430,9 +494,9 @@ def attention(query: Tensor, context: Tensor, wq: Tensor, bq: Tensor, wk: Tensor
     y *= scale
     if keep_ctx is not None:
         np.copyto(y, -np.inf, where=~keep_ctx)
-    y -= y.max(axis=-1, keepdims=True)
+    y -= _row_max(y)
     np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
+    y /= _row_sum(y)
     keep = _keep_mask(y, rate, rng, training)
 
     def dropped(p):
@@ -452,7 +516,7 @@ def attention(query: Tensor, context: Tensor, wq: Tensor, bq: Tensor, wk: Tensor
             ga *= keep[1]
             ga *= keep[0]
         # softmax backward, then the score scale, in place on the fresh ga
-        ga -= (ga * y).sum(axis=-1, keepdims=True)
+        ga -= _row_sum(ga * y)
         ga *= y
         ga *= scale
         gq = merged(ga @ kh, q)
@@ -468,7 +532,7 @@ def attention(query: Tensor, context: Tensor, wq: Tensor, bq: Tensor, wk: Tensor
                  None if gxc is None else gxc.reshape(b, c, d)]
         for x, gy, (w, bias) in ((xq, gq, proj[0:2]), (xc, gk, proj[2:4]), (xc, gv, proj[4:6])):
             grads.append(x.T @ gy if w.requires_grad else None)
-            grads.append(gy.sum(axis=0) if bias.requires_grad else None)
+            grads.append(_col_sum(gy) if bias.requires_grad else None)
         return tuple(grads)
 
     return _apply(out, (query, context, *proj), rule), y
@@ -572,12 +636,11 @@ def softmax(scores: Tensor, mask: np.ndarray | None = None) -> Tensor:
         if not m.any(axis=-1).all():
             raise ValueError("softmax encountered a fully masked row")
         x = np.where(m, x, -np.inf)
-    mx = x.max(axis=-1, keepdims=True)
-    e = np.exp(x - mx)
-    y = e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(x - _row_max(x))
+    y = e / _row_sum(e)
 
     def rule(g):
-        return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
+        return (y * (g - _row_sum(g * y)),)
 
     return _apply(y, (scores,), rule)
 
@@ -585,14 +648,13 @@ def softmax(scores: Tensor, mask: np.ndarray | None = None) -> Tensor:
 def log_softmax(logits: Tensor) -> Tensor:
     logits = _as_tensor(logits)
     x = logits.data
-    mx = x.max(axis=-1, keepdims=True)
-    shifted = x - mx
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted = x - _row_max(x)
+    lse = np.log(_row_sum(np.exp(shifted)))
     y = shifted - lse
     p = np.exp(y)
 
     def rule(g):
-        return (g - p * g.sum(axis=-1, keepdims=True),)
+        return (g - p * _row_sum(g),)
 
     return _apply(y, (logits,), rule)
 
@@ -648,7 +710,7 @@ def _normalize(xc: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float):
     Returns the output ``xhat * gain + bias`` and the per-row 1/std.
     """
     out = xc * xc
-    inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + eps)
+    inv = 1.0 / np.sqrt(_row_mean(out) + eps)
     xc *= inv
     np.multiply(xc, gain, out=out)
     out += bias
@@ -660,15 +722,15 @@ def _layer_norm_grads(g, xhat, inv, gain: Tensor, bias: Tensor, want_x: bool):
     d = xhat.shape[-1]
     gx = ggain = gbias = None
     if gain.requires_grad:
-        ggain = (g * xhat).reshape(-1, d).sum(axis=0).reshape(gain.data.shape)
+        ggain = _col_sum((g * xhat).reshape(-1, d)).reshape(gain.data.shape)
     if bias.requires_grad:
-        gbias = g.reshape(-1, d).sum(axis=0).reshape(bias.data.shape)
+        gbias = _col_sum(g.reshape(-1, d)).reshape(bias.data.shape)
     if want_x:
         # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), in place on fresh arrays
         gx = g * gain.data
         tmp = gx * xhat
-        m = tmp.mean(axis=-1, keepdims=True)
-        gx -= gx.mean(axis=-1, keepdims=True)
+        m = _row_mean(tmp)
+        gx -= _row_mean(gx)
         np.multiply(xhat, m, out=tmp)
         gx -= tmp
         gx *= inv
@@ -684,7 +746,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
     gain = _as_tensor(gain, like=x.data)
     bias = _as_tensor(bias, like=x.data)
     _check_layer_norm(x.data, eps)
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    xhat = x.data - _row_mean(x.data)
     out, inv = _normalize(xhat, gain.data, bias.data, eps)
 
     def rule(g):
@@ -708,7 +770,7 @@ def _residual(x: Tensor, sub: np.ndarray, gain: Tensor, bias: Tensor, eps: float
         sub *= keep[1]
         sub *= keep[0]
     sub += x.data
-    sub -= sub.mean(axis=-1, keepdims=True)
+    sub -= _row_mean(sub)
     out, inv = _normalize(sub, gain.data, bias.data, eps)
 
     def grads(g):
@@ -841,14 +903,14 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, gain
         g2 = gsub.reshape(-1, d_in)
         t = _gelu_tanh(h)
         gw2 = _gelu(h, t).T @ g2 if w2.requires_grad else None
-        gb2 = g2.sum(axis=0) if b2.requires_grad else None
+        gb2 = _col_sum(g2) if b2.requires_grad else None
         gh = _gelu_grad(h, t, g2 @ w2.data.T)
         gx = None
         if x.requires_grad:
             gx = (gh @ w1.data.T).reshape(x.data.shape)
             gx += gs
         gw1 = x2.T @ gh if w1.requires_grad else None
-        gb1 = gh.sum(axis=0) if b1.requires_grad else None
+        gb1 = _col_sum(gh) if b1.requires_grad else None
         return gx, gw1, gb1, gw2, gb2, ggain, gbias
 
     return _apply(out, (x, w1, b1, w2, b2, gain, bias), rule)

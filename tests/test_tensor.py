@@ -9,10 +9,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from crossmodal.tensor import (
     Tape,
     Tensor,
+    _col_sum,
+    _row_max,
+    _row_mean,
+    _row_sum,
     arena_of,
     attention,
     backward,
@@ -622,15 +628,14 @@ def test_layer_norm_and_gelu_match_the_written_out_float32_formulas():
     with Tape():
         out = layer_norm(x, gain, bias)
         backward(tsum(out * tensor(gy)))
-    xc = xd - xd.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-12)
+    xc = xd - _row_mean(xd)
+    inv = 1.0 / np.sqrt(_row_mean(xc * xc) + 1e-12)
     xhat = xc * inv
     dxhat = gy * gd
-    want_gx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
-                     - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    want_gx = inv * (dxhat - _row_mean(dxhat) - xhat * _row_mean(dxhat * xhat))
     assert out.data.tobytes() == (xhat * gd + bd).tobytes()
     assert x.grad.tobytes() == want_gx.tobytes()
-    assert gain.grad.tobytes() == (gy * xhat).reshape(-1, 16).sum(axis=0).tobytes()
+    assert gain.grad.tobytes() == _col_sum((gy * xhat).reshape(-1, 16)).tobytes()
 
     x = Tensor(xd.copy(), requires_grad=True)
     with Tape():
@@ -642,6 +647,75 @@ def test_layer_norm_and_gelu_match_the_written_out_float32_formulas():
     dinner = c * (1.0 + 3.0 * a * x2)
     assert out.data.tobytes() == (0.5 * xd * (1.0 + t)).tobytes()
     assert x.grad.tobytes() == (gy * (0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t**2) * dinner)).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# row and column reductions
+
+_FLOAT_DTYPES = st.sampled_from([np.float32, np.float64])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_row_max_is_max_bit_for_bit(data):
+    dtype = data.draw(_FLOAT_DTYPES)
+    special = st.sampled_from([-np.inf, np.inf, np.nan, 0.0, -0.0])
+    finite = st.floats(-2.0**100, 2.0**100, width=32)
+    y = data.draw(arrays(dtype, array_shapes(min_dims=1, max_dims=4, max_side=6),
+                         elements=st.one_of(finite, special)))
+    got = _row_max(y)
+    assert got.dtype == y.dtype and got.shape == y.shape[:-1] + (1,)
+    assert got.tobytes() == y.max(axis=-1, keepdims=True).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_row_and_column_reductions_match_float64_references(data):
+    """Each result lies within the rounding of its own accumulation of the exact value:
+    a float64 row sum rounds once to float32, and a float32 GEMV by at most n ulps of the
+    absolute sum."""
+    dtype = data.draw(_FLOAT_DTYPES)
+    x = data.draw(arrays(dtype, array_shapes(min_dims=2, max_dims=4, max_side=9),
+                         elements=st.floats(-1e3, 1e3, width=32, allow_subnormal=False)))
+    wide = x.astype(np.float64)
+    eps = np.finfo(dtype).eps
+    n = x.shape[-1]
+    got = _row_sum(x)
+    want = wide.sum(axis=-1, keepdims=True)
+    abs_sum = np.abs(wide).sum(axis=-1, keepdims=True)
+    assert got.dtype == dtype and got.shape == want.shape
+    assert np.all(np.abs(got - want) <= eps * np.abs(want) + n * 2.0**-52 * abs_sum)
+    got = _row_mean(x)
+    assert got.dtype == dtype and got.shape == want.shape
+    tiny = n * np.finfo(dtype).smallest_subnormal  # x / n may fall below the normal range
+    assert np.all(np.abs(got - want / n) <= (n + 1) * eps * abs_sum / n + tiny)
+    x2 = x.reshape(-1, n)
+    got = _col_sum(x2)
+    rows = x2.shape[0]
+    assert got.dtype == dtype and got.shape == (n,)
+    assert np.all(np.abs(got - x2.astype(np.float64).sum(axis=0))
+                  <= rows * eps * np.abs(x2.astype(np.float64)).sum(axis=0))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_attention_weights_follow_a_permuted_context_bit_for_bit(seed):
+    """Inputs on a coarse grid make every product and score exact, so only the softmax
+    normaliser could depend on the order of the context positions."""
+    rng = np.random.default_rng(seed)
+    b, q, c, d = 4, 10, 10, 8
+
+    def grid(*shape):
+        return tensor(rng.integers(-4, 5, size=shape) / 4.0)
+
+    x, ctx = grid(b, q, d), grid(b, c, d)
+    proj = [grid(d, d) if i % 2 == 0 else grid(d) for i in range(6)]
+    mask = rng.random((b, c)) < 0.8
+    mask[:, 0] = True
+    perm = rng.permutation(c)
+    _, weights = attention(x, ctx, *proj, HEADS, mask)
+    _, permuted = attention(x, tensor(ctx.data[:, perm]), *proj, HEADS, mask[:, perm])
+    assert weights.dtype == np.float32
+    assert permuted.tobytes() == np.ascontiguousarray(weights[..., perm]).tobytes()
 
 
 # ---------------------------------------------------------------------------
