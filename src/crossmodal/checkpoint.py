@@ -196,14 +196,12 @@ def _validate_layout(params: dict[str, np.ndarray], cfg: ModelConfig,
     return layout
 
 
-def load_checkpoint(path, expected_config: ModelConfig | None = None) -> Checkpoint:
-    """Read and validate a checkpoint.
+def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint and validate its tensors against the stored config's layout.
 
-    The stored tensors are always validated against the stored config's
-    layout. When ``expected_config`` is given, they are validated against
-    that config instead, so architectural mismatches fail loudly. Bytes that
-    do not decode or parse, including stored JSON that does not build a
-    ModelConfig or OptimizerState, raise ``CheckpointFormatError``.
+    Bytes that do not decode or parse, including stored JSON that does not
+    build a ModelConfig or OptimizerState, raise ``CheckpointFormatError``.
+    Comparing the stored config with a run's is the caller's business.
     """
     try:
         with open(path, "rb") as fh:
@@ -253,7 +251,7 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None) -> Checkpo
     except (ValueError, TypeError, struct.error) as exc:
         raise CheckpointFormatError(f"corrupt checkpoint {path}: {exc}") from exc
 
-    layout = _validate_layout(raw_params, expected_config or config, heads)
+    layout = _validate_layout(raw_params, config, heads)
     # in layout order, as init_params makes them, so a loaded model packs
     # into the same flat buffers (optim) as a fresh one
     params = {name: Tensor(raw_params[name], requires_grad=True) for name in layout}

@@ -179,6 +179,8 @@ def _build_section(cls, values: dict):
 
 
 def run_config_from_dict(data: dict) -> RunConfig:
+    if not isinstance(data, dict):
+        raise ValueError("a run config must be a JSON object")
     unknown = set(data) - set(_SECTIONS)
     if unknown:
         raise ValueError(f"unknown config sections: {sorted(unknown)}")
@@ -191,11 +193,22 @@ def run_config_from_dict(data: dict) -> RunConfig:
     return RunConfig(**kwargs).validate()
 
 
+class ConfigFormatError(ValueError):
+    """A config file that is not UTF-8 JSON or does not hold a valid run config."""
+
+
 def load_run_config(path) -> RunConfig:
-    """Read a JSON run config; missing sections and fields take defaults."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return run_config_from_dict(data)
+    """Read a JSON run config; missing sections and fields take defaults.
+
+    Bytes that do not decode or parse, and values that do not build a valid
+    ``RunConfig``, raise ``ConfigFormatError`` naming the path.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return run_config_from_dict(json.loads(raw.decode("utf-8")))
+    except (ValueError, TypeError) as exc:
+        raise ConfigFormatError(f"config {path}: {exc}") from exc
 
 
 def save_run_config(cfg: RunConfig, path) -> None:

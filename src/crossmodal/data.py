@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 import struct
 from collections import Counter
@@ -169,17 +170,21 @@ def _load_jsonl(path, types: dict[str, tuple[type, ...]], make) -> list:
     of one of its types. A line that is not JSON, not an object, holds a
     field of the wrong type, lacks a field ``make`` reads, or that ``make``
     rejects with a ``ValueError`` raises ``CorpusFormatError`` naming the
-    path and the line.
+    path and the line; so does a line that is not UTF-8.
     """
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for n, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
+    with open(path, "rb") as fh:
+        for n, raw in enumerate(fh, 1):
             where = f"{path} line {n}"
             try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CorpusFormatError(f"{where}: not UTF-8 ({exc})") from exc
+            if not line.strip():
+                continue
+            try:
                 row = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:
                 raise CorpusFormatError(f"{where}: not JSON ({exc})") from exc
             if not isinstance(row, dict):
                 raise CorpusFormatError(f"{where}: not a JSON object")
@@ -256,11 +261,15 @@ class FeatureStoreError(ValueError):
     """A feature store file that is not one, or is truncated or corrupt."""
 
 
-def _read_exact(fh, n: int) -> bytes:
-    raw = fh.read(n)
-    if len(raw) != n:
+def _read_exact(fh, n: int, size: int) -> bytes:
+    """``n`` bytes from ``fh``, a file of ``size`` bytes.
+
+    A count or extent that runs past the end of the file is rejected before
+    the read, so a corrupt one never becomes an allocation of that many bytes.
+    """
+    if n > size - fh.tell():
         raise FeatureStoreError("unexpected end of feature store file")
-    return raw
+    return fh.read(n)
 
 
 class FeatureStore:
@@ -306,22 +315,23 @@ class FeatureStore:
     @classmethod
     def load(cls, path) -> "FeatureStore":
         with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
             magic = fh.read(4)
             if magic != _STORE_MAGIC:
                 raise FeatureStoreError(f"not a feature store file (magic {magic!r})")
-            version, m, feat_dim, count = struct.unpack("<IIII", _read_exact(fh, 16))
+            version, m, feat_dim, count = struct.unpack("<IIII", _read_exact(fh, 16, size))
             if version != _STORE_VERSION:
                 raise FeatureStoreError(f"unsupported feature store version {version}")
             store = cls(m, feat_dim)
             for _ in range(count):
-                (id_len,) = struct.unpack("<I", _read_exact(fh, 4))
+                (id_len,) = struct.unpack("<I", _read_exact(fh, 4, size))
                 try:
-                    image_id = _read_exact(fh, id_len).decode("utf-8")
+                    image_id = _read_exact(fh, id_len, size).decode("utf-8")
                 except UnicodeDecodeError as exc:
                     raise FeatureStoreError(f"corrupt image id: {exc}") from exc
-                feats = np.frombuffer(_read_exact(fh, 4 * m * feat_dim), dtype="<f4")
-                boxes = np.frombuffer(_read_exact(fh, 4 * m * 4), dtype="<f4")
-                labels = np.frombuffer(_read_exact(fh, 4 * m), dtype="<i4")
+                feats = np.frombuffer(_read_exact(fh, 4 * m * feat_dim, size), dtype="<f4")
+                boxes = np.frombuffer(_read_exact(fh, 4 * m * 4, size), dtype="<f4")
+                labels = np.frombuffer(_read_exact(fh, 4 * m, size), dtype="<i4")
                 store.add(image_id, feats.reshape(m, feat_dim), boxes.reshape(m, 4),
                           labels.astype(np.int32))
         return store

@@ -79,12 +79,14 @@ def test_roundtrip_without_optimizer(tmp_path):
 
 def test_load_under_mismatched_config_names_first_offender(tmp_path):
     ckpt = make_checkpoint()
-    path = tmp_path / "e.ckpt"
-    save_checkpoint(path, ckpt)
     wrong = ModelConfig(vocab_size=17, num_labels=4, num_answers=6, hidden_size=128,
                         num_heads=4).validate()
+    # a file whose stored config disagrees with its tensors
+    ckpt.config = wrong
+    path = tmp_path / "e.ckpt"
+    save_checkpoint(path, ckpt)
     with pytest.raises(CheckpointShapeError) as err:
-        load_checkpoint(path, expected_config=wrong)
+        load_checkpoint(path)
     # sorted order puts cross.0.ff_l.b1 first among mismatches
     assert "cross.0.ff_l.b1" in str(err.value)
 

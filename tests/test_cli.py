@@ -219,6 +219,41 @@ def test_stats_on_corpus_line_that_is_not_json_is_data_error(tmp_path, capsys):
     assert f"error[data]: {corpus} line 1: not JSON" in capsys.readouterr().err
 
 
+def test_truncated_config_is_config_error(data_dir, tmp_path, capsys):
+    cfg = tmp_path / "cut.json"
+    text = json.dumps({"schedule": {"epochs": 2, "batch_size": 8}})
+    cfg.write_text(text[:len(text) // 2])
+    code = main(["pretrain", "--data", str(data_dir), "--config", str(cfg),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"error[config]: config {cfg}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["corpus.jsonl", "pairs.jsonl"])
+def test_data_file_line_that_is_not_utf8_is_data_error(name, data_dir, tmp_path, capsys):
+    copy = tmp_path / "data"
+    shutil.copytree(data_dir, copy)
+    raw = (copy / name).read_bytes()
+    at = raw.index(b"\n") + 3  # inside line 2
+    (copy / name).write_bytes(raw[:at] + b"\xff" + raw[at + 1:])
+    code = main(["finetune", "--task", "pairwise", "--data", str(copy), "--from-scratch",
+                 "--epochs", "1", "--out", str(tmp_path / "ft")])
+    assert code == 3
+    assert f"error[data]: {copy / name} line 2: not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("offset", [11, 15], ids=["m", "feat_dim"])
+def test_feature_store_with_a_corrupt_extent_is_data_error(offset, data_dir, tmp_path, capsys):
+    copy = tmp_path / "data"
+    shutil.copytree(data_dir, copy)
+    raw = bytearray((copy / "features.bin").read_bytes())
+    raw[offset] ^= 0xFF  # the high byte of a u32 extent
+    (copy / "features.bin").write_bytes(bytes(raw))
+    code = main(["pretrain", "--data", str(copy), "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert "error[data]: unexpected end of feature store file" in capsys.readouterr().err
+
+
 def test_pairs_file_with_unknown_split_is_data_error(data_dir, tmp_path, capsys):
     copy = tmp_path / "data"
     shutil.copytree(data_dir, copy)

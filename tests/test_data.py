@@ -2,6 +2,7 @@
 
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from crossmodal.data import (
     CorpusRecord,
     CrossModalBatch,
     FeatureStore,
+    FeatureStoreError,
     PairRecord,
     Vocabulary,
     build_answer_table,
@@ -351,6 +353,95 @@ def test_jsonl_reader_names_the_line_that_is_not_json(reader, tmp_path):
     path.write_text(json.dumps(good) + "\n" + json.dumps(good)[:-1] + "\n")
     with pytest.raises(CorpusFormatError, match=f"{path} line 2: not JSON"):
         load(path)
+
+
+def _load_from_bytes(load, raw: bytes, name: str):
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, name)
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        return load(path)
+
+
+def _saved_bytes(save, value, name: str) -> bytes:
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, name)
+        save(value, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+# two images of four objects with four features: a store of a few hundred bytes
+_SMALL_STORE = FeatureStore(4, 4)
+for _i in range(2):
+    _SMALL_STORE.add(f"img-{_i}", np.arange(16.0).reshape(4, 4) + _i, np.ones((4, 4)),
+                     np.arange(4) + _i)
+STORE_BYTES = _saved_bytes(lambda store, path: store.save(path), _SMALL_STORE, "features.bin")
+
+
+def test_feature_store_whose_extent_runs_past_the_end_is_rejected_before_reading(tmp_path):
+    raw = bytearray(STORE_BYTES)
+    raw[11] ^= 0xFF  # the high byte of m: about 4e9 objects per image
+    with pytest.raises(FeatureStoreError, match="unexpected end"):
+        _load_from_bytes(FeatureStore.load, bytes(raw), "features.bin")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=len(STORE_BYTES) - 1))
+def test_feature_store_truncated_anywhere_is_a_feature_store_error(cut):
+    with pytest.raises(FeatureStoreError):
+        _load_from_bytes(FeatureStore.load, STORE_BYTES[:cut], "features.bin")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=len(STORE_BYTES) - 1), st.integers(1, 255))
+# the high bytes of m and feat_dim, once read as that many bytes (MemoryError)
+@example(11, 0xFF)
+@example(15, 0xFF)
+def test_feature_store_with_one_flipped_byte_loads_or_raises_a_feature_store_error(offset, xor):
+    raw = bytearray(STORE_BYTES)
+    raw[offset] ^= xor
+    try:
+        _load_from_bytes(FeatureStore.load, bytes(raw), "features.bin")
+    except FeatureStoreError:
+        pass
+
+
+_JSONL_BYTES = {
+    "corpus": (load_corpus, _saved_bytes(save_corpus, [
+        CorpusRecord("img-0", "is the cat left of the dog ?", True, "yes", "train"),
+        CorpusRecord("img-1", "a caf\u00e9 sign", False, None, "dev")], "corpus.jsonl")),
+    "pairs": (load_pairs, _saved_bytes(save_pairs, [
+        PairRecord("img-0", "img-1", "both show a cat", True, "train"),
+        PairRecord("img-1", "img-0", "neither shows a dog", False, "dev")], "pairs.jsonl")),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_JSONL_BYTES))
+def test_jsonl_reader_names_the_line_that_is_not_utf8(reader):
+    load, raw = _JSONL_BYTES[reader]
+    second = raw.index(b"\n") + 1
+    broken = raw[:second + 5] + b"\xff" + raw[second + 6:]
+    with pytest.raises(CorpusFormatError, match="line 2: not UTF-8"):
+        _load_from_bytes(load, broken, "records.jsonl")
+
+
+@pytest.mark.parametrize("reader", sorted(_JSONL_BYTES))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_jsonl_reader_truncated_or_with_one_flipped_byte_loads_or_raises_a_format_error(
+        reader, data):
+    load, raw = _JSONL_BYTES[reader]
+    raw = bytearray(raw)
+    if data.draw(st.booleans(), label="truncate"):
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="cut")]
+    else:
+        raw[data.draw(st.integers(0, len(raw) - 1), label="offset")] ^= data.draw(
+            st.integers(1, 255), label="xor")
+    try:
+        _load_from_bytes(load, bytes(raw), "records.jsonl")
+    except CorpusFormatError:
+        pass
 
 
 # ---------------------------------------------------------------------------
