@@ -371,19 +371,15 @@ def _saved_bytes(save, value, name: str) -> bytes:
             return fh.read()
 
 
-# two images of four objects with four features: a store of a few hundred bytes
-_SMALL_STORE = FeatureStore(4, 4)
-for _i in range(2):
-    _SMALL_STORE.add(f"img-{_i}", np.arange(16.0).reshape(4, 4) + _i, np.ones((4, 4)),
-                     np.arange(4) + _i)
-STORE_BYTES = _saved_bytes(lambda store, path: store.save(path), _SMALL_STORE, "features.bin")
+def _small_store_bytes() -> bytes:
+    """Two images of four objects with four features: a store of a few hundred bytes."""
+    store = FeatureStore(4, 4)
+    for i in range(2):
+        store.add(f"img-{i}", np.arange(16.0).reshape(4, 4) + i, np.ones((4, 4)), np.arange(4) + i)
+    return _saved_bytes(FeatureStore.save, store, "features.bin")
 
 
-def test_feature_store_whose_extent_runs_past_the_end_is_rejected_before_reading(tmp_path):
-    raw = bytearray(STORE_BYTES)
-    raw[11] ^= 0xFF  # the high byte of m: about 4e9 objects per image
-    with pytest.raises(FeatureStoreError, match="unexpected end"):
-        _load_from_bytes(FeatureStore.load, bytes(raw), "features.bin")
+STORE_BYTES = _small_store_bytes()
 
 
 @settings(max_examples=200, deadline=None)
