@@ -60,7 +60,6 @@ def cmd_gen_data(args) -> int:
         label_vocab=labels,
         feat_dim=model.feat_dim,
         objects_per_image=model.objects_per_image,
-        noise_std=args.noise_std,
         dev_fraction=args.dev_fraction,
     )
     os.makedirs(args.out, exist_ok=True)
@@ -90,10 +89,6 @@ def cmd_stats(args) -> int:
 
 def cmd_pretrain(args) -> int:
     cfg = _load_config(args.config)
-    if args.phase2_lr is not None:
-        cfg.schedule.phase2_lr = args.phase2_lr
-    if args.qa_start_fraction is not None:
-        cfg.schedule.qa_start_fraction = args.qa_start_fraction
     bundle = load_data_dir(args.data)
     result = run_pretraining(bundle, cfg, seed=args.seed, out_dir=args.out,
                              resume=args.resume, log=print)
@@ -141,8 +136,7 @@ def cmd_evaluate(args) -> int:
 def cmd_dump_attention(args) -> int:
     bundle = load_data_dir(args.data)
     ckpt = load_checkpoint(args.checkpoint)
-    dump = dump_attention(ckpt, bundle, index=args.index, out_path=args.out,
-                          split=args.split)
+    dump = dump_attention(ckpt, bundle, index=args.index, out_path=args.out)
     print(f"wrote {len(dump['groups'])} attention groups to {args.out}")
     return EXIT_OK
 
@@ -164,7 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--images", type=int, default=256)
     sp.add_argument("--labels", default=None, help="comma-separated label vocabulary")
     sp.add_argument("--pairs", type=int, default=256, help="pairwise records to generate (0 = none)")
-    sp.add_argument("--noise-std", type=float, default=0.2)
     sp.add_argument("--dev-fraction", type=float, default=0.1)
     sp.set_defaults(fn=cmd_gen_data)
 
@@ -177,9 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--data", required=True)
     sp.add_argument("--resume", default=None, help="checkpoint to resume from")
-    sp.add_argument("--phase2-lr", type=float, default=None,
-                    help="peak lr for the QA-enabled phase (default: same as phase 1)")
-    sp.add_argument("--qa-start-fraction", type=float, default=None)
     sp.set_defaults(fn=cmd_pretrain)
 
     sp = sub.add_parser("finetune", help="fine-tune on qa or pairwise")
@@ -207,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--data", required=True)
     sp.add_argument("--checkpoint", required=True)
     sp.add_argument("--index", type=int, default=0)
-    sp.add_argument("--split", default="dev", choices=("train", "dev"))
     sp.set_defaults(fn=cmd_dump_attention)
     return p
 

@@ -85,9 +85,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        return cls(data["tokens"])
+        return load_string_list(path, "tokens", cls)
 
 
 class AnswerTable:
@@ -152,7 +150,23 @@ class CorpusRecord:
 
 
 class CorpusFormatError(ValueError):
-    """A corpus or pair file line that is not a valid record of the documented types."""
+    """A corpus or pair file line, or a vocabulary or label file, that is not
+    valid in the documented types."""
+
+
+def load_string_list(path, key: str, make=list):
+    """``make(strings)`` for the list of strings under ``key`` of the JSON
+    object in ``path`` (``vocab.json``, ``labels.json``). Any other content,
+    or a list ``make`` rejects, raises ``CorpusFormatError`` naming the path."""
+    try:
+        with open(path, "rb") as fh:
+            data = json.loads(fh.read().decode("utf-8"))
+        strings = data.get(key) if isinstance(data, dict) else None
+        if not isinstance(strings, list) or not all(isinstance(s, str) for s in strings):
+            raise ValueError(f"{key} must be a list of strings")
+        return make(strings)
+    except ValueError as exc:
+        raise CorpusFormatError(f"{path}: {exc}") from exc
 
 
 def _save_jsonl(rows, path) -> None:
@@ -500,6 +514,7 @@ _NUMBER_WORDS = (
 
 _LABELS_PER_IMAGE = 2      # size of each image's label pool
 _MIN_SEPARATION = 1.0      # least distance between two label centroids
+_FEATURE_NOISE_STD = 0.2   # std of an object's features around its label centroid
 
 
 def _count_word(count: int) -> str:
@@ -554,7 +569,6 @@ def generate_synthetic_corpus(
     objects_per_image: int = 8,
     captions_per_image: int = 2,
     questions_per_image: int = 3,
-    noise_std: float = 0.2,
     dev_fraction: float = 0.1,
 ) -> tuple[list[CorpusRecord], FeatureStore]:
     """Generate aligned image-and-sentence pairs with learnable structure.
@@ -590,7 +604,7 @@ def generate_synthetic_corpus(
         labels = np.empty(m, dtype=np.int32)
         labels[:_LABELS_PER_IMAGE] = pool          # every pool label appears
         labels[_LABELS_PER_IMAGE:] = rng.choice(pool, size=m - _LABELS_PER_IMAGE)
-        feats = centroids[labels] + rng.normal(0.0, noise_std, size=(m, feat_dim))
+        feats = centroids[labels] + rng.normal(0.0, _FEATURE_NOISE_STD, size=(m, feat_dim))
         boxes = _random_boxes(rng, m)
         store.add(image_id, feats.astype(np.float32), boxes, labels)
 

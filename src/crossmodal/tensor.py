@@ -916,14 +916,19 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, gain
     return _apply(out, (x, w1, b1, w2, b2, gain, bias), rule)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    xd = x.data
+def _logistic(xd: np.ndarray) -> np.ndarray:
+    """1/(1 + exp(-x)), with exp taken only of non-positive values."""
     y = np.empty_like(xd)
     pos = xd >= 0
     y[pos] = 1.0 / (1.0 + np.exp(-xd[pos]))
     ex = np.exp(xd[~pos])
     y[~pos] = ex / (1.0 + ex)
+    return y
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    x = _as_tensor(x)
+    y = _logistic(x.data)
 
     def rule(g):
         return (g * y * (1.0 - y),)
@@ -936,11 +941,7 @@ def softplus(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     xd = x.data
     out = np.maximum(xd, 0.0) + np.log1p(np.exp(-np.abs(xd)))
-    sig = np.empty_like(xd)
-    pos = xd >= 0
-    sig[pos] = 1.0 / (1.0 + np.exp(-xd[pos]))
-    ex = np.exp(xd[~pos])
-    sig[~pos] = ex / (1.0 + ex)
+    sig = _logistic(xd)
 
     def rule(g):
         return (g * sig,)

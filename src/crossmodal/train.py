@@ -1,14 +1,18 @@
 """Training loops, evaluation, attention dumps, and data-directory plumbing.
 
-Pre-training and both fine-tuning tasks run through one loop, ``_fit``.
-Each epoch it draws one shuffle of the rows; each step it zeroes the
-gradients, records the caller's step loss on a tape, back-propagates,
-clips, sets the scheduled learning rate, takes an Adam step and appends one
-metrics line. Pre-training runs in two phases: the QA loss is disabled for
-the first part of the epochs and enabled for the rest
-(``qa_start_fraction``, default the second half). Checkpoints are saved per
-epoch with optimizer and rng state, so training can resume and reproduce
-the uninterrupted run exactly.
+Pre-training and both fine-tuning tasks are runs of one loop, ``_fit``,
+which owns everything a run shares: the output directory, the Adam state
+(fresh, or the resumed one), ``metrics.jsonl``, the per-epoch and final
+checkpoints, and the ``RunResult``. Each epoch it draws one shuffle of the
+rows; each step it zeroes the gradients, records the caller's step loss on
+a tape, back-propagates, clips, sets the scheduled learning rate, takes an
+Adam step and appends one metrics line. The callers keep what differs: the
+rows, the step loss, the head set-up, the checkpoint's stored ``extra``,
+the resume checks and the dev score. Pre-training runs in two phases: the
+QA loss is disabled for the first part of the epochs and enabled for the
+rest (``qa_start_fraction``, default the second half). Its checkpoints are
+saved per epoch with optimizer and rng state, so training can resume and
+reproduce the uninterrupted run exactly.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from .data import (
     collate,
     load_corpus,
     load_pairs,
+    load_string_list,
     plain_row,
 )
 from .encoders import EVAL, Runtime, forward_batch
@@ -79,8 +84,7 @@ def load_data_dir(path) -> DataBundle:
     records = load_corpus(os.path.join(path, CORPUS_FILE))
     store = FeatureStore.load(os.path.join(path, FEATURES_FILE))
     vocab = Vocabulary.load(os.path.join(path, VOCAB_FILE))
-    with open(os.path.join(path, LABELS_FILE), "r", encoding="utf-8") as fh:
-        label_names = json.load(fh)["labels"]
+    label_names = load_string_list(os.path.join(path, LABELS_FILE), "labels")
     for image_id in store.image_ids:
         labels = store.get(image_id)[2]
         outside = labels[(labels < 0) | (labels >= len(label_names))]
@@ -138,10 +142,6 @@ def make_initial_checkpoint(run_cfg: RunConfig, bundle: DataBundle, seed: int) -
                       extra={"answers": table.answers, "epoch": 0})
 
 
-def _rng_state(rng: np.random.Generator) -> dict:
-    return rng.bit_generator.state
-
-
 def _restore_rng(state: dict) -> np.random.Generator:
     rng = np.random.default_rng(0)
     rng.bit_generator.state = state
@@ -153,29 +153,54 @@ def _clone_params(params: dict[str, Tensor]) -> dict[str, Tensor]:
     return {name: Tensor(p.data.copy(), requires_grad=True) for name, p in params.items()}
 
 
-def _total_steps(n_items: int, batch_size: int, epochs: int) -> int:
-    return math.ceil(n_items / batch_size) * epochs
+@dataclass
+class RunResult:
+    """What a run wrote, its metrics lines, and the caller's answer table and dev score."""
+
+    final_checkpoint: str
+    metrics_path: str
+    history: list[dict]
+    answers: list[str] | None = None
+    dev_accuracy: float | None = None
 
 
-def _fit(items: list, step_loss, params: dict[str, Tensor], opt: OptimizerState,
-         rng: np.random.Generator, metrics_path, *, epochs: int, batch_size: int,
-         peak_lr: float, warmup_fraction: float, clip_norm: float | None, log=None,
+def _fit(items: list, step_loss, params: dict[str, Tensor], rng: np.random.Generator,
+         out_dir, checkpoint, *, epochs: int, batch_size: int, peak_lr: float,
+         warmup_fraction: float, clip_norm: float | None, log=None,
+         opt: OptimizerState | None = None, save_epochs: bool = False,
          phase2_epoch: int | None = None, phase2_lr: float | None = None,
-         resume_epoch: int | None = None, end_epoch=None) -> list[dict]:
-    """Train ``params`` in place over ``items``; return the metrics lines written.
+         resume_epoch: int | None = None) -> RunResult:
+    """Train ``params`` in place over ``items`` as one run written to ``out_dir``.
 
-    Each epoch draws one permutation of ``items`` from ``rng``. Each step
-    calls ``step_loss(chunk, phase2)`` under a tape; it returns the scalar
-    loss and the loss fields of the metrics line. ``phase2`` is true from
-    epoch ``phase2_epoch`` on, where ``phase2_lr`` (when set) replaces the
-    peak learning rate. With ``resume_epoch`` the run starts at that epoch
-    and appends to ``metrics_path``, after dropping the lines a crashed run
-    wrote from that epoch on. ``end_epoch(epoch)`` runs after every epoch,
-    once the epoch's metrics lines are flushed. Each line also carries the
-    global gradient norm before clipping.
+    The run's Adam state is ``opt`` when resuming, else a fresh one for this
+    schedule. Each epoch draws one permutation of ``items`` from ``rng``.
+    Each step calls ``step_loss(chunk, phase2)`` under a tape; it returns
+    the scalar loss and the loss fields of the step's line in the metrics
+    file, which also carries the global gradient norm before clipping.
+    ``phase2`` is true from epoch ``phase2_epoch`` on, where ``phase2_lr``
+    (when set) replaces the peak learning rate. With ``resume_epoch`` the
+    run starts at that epoch and appends to the metrics file, after dropping
+    the lines a crashed run wrote from that epoch on.
+
+    ``checkpoint(epoch)`` builds the run's ``Checkpoint`` after ``epoch``
+    epochs; ``_fit`` adds the Adam and rng state to it. With ``save_epochs``
+    it is saved as ``checkpoint-epoch-N`` after each epoch, once the
+    epoch's metrics lines are flushed; it is always saved as
+    ``checkpoint-final`` after the last epoch.
     """
     steps_per_epoch = math.ceil(len(items) / batch_size)
     total_steps = steps_per_epoch * epochs
+    if opt is None:
+        opt = OptimizerState.init(params, peak_lr, warmup_fraction, total_steps)
+    os.makedirs(out_dir, exist_ok=True)
+    metrics_path = os.path.join(out_dir, "metrics.jsonl")
+
+    def save(name: str, epoch: int) -> str:
+        path = os.path.join(out_dir, name)
+        save_checkpoint(path, replace(checkpoint(epoch), opt_state=opt,
+                                      rng_state=rng.bit_generator.state))
+        return path
+
     history: list[dict] = []
     t0 = time.time()
     if resume_epoch is not None:
@@ -202,10 +227,10 @@ def _fit(items: list, step_loss, params: dict[str, Tensor], opt: OptimizerState,
                 history.append(line)
                 if log is not None and (step % 50 == 0 or step == total_steps - 1):
                     log(f"step {step}/{total_steps} lr={lr:.2e} loss={loss.item():.4f}")
-            if end_epoch is not None:
+            if save_epochs:
                 metrics.flush()
-                end_epoch(epoch)
-    return history
+                save(f"checkpoint-epoch-{epoch + 1}.ckpt", epoch + 1)
+    return RunResult(save("checkpoint-final.ckpt", epochs), metrics_path, history)
 
 
 def _drop_metrics_from(path, first_step: int) -> None:
@@ -225,17 +250,8 @@ def _drop_metrics_from(path, first_step: int) -> None:
     os.replace(tmp, path)
 
 
-@dataclass
-class PretrainResult:
-    final_checkpoint: str
-    metrics_path: str
-    history: list[dict]
-    config: ModelConfig
-    answers: list[str]
-
-
 def run_pretraining(bundle: DataBundle, run_cfg: RunConfig, seed: int, out_dir,
-                    resume: str | None = None, log=None) -> PretrainResult:
+                    resume: str | None = None, log=None) -> RunResult:
     """Two-phase pre-training over the train split.
 
     Phase 1 runs with the QA loss forced to zero; phase 2 enables it. All
@@ -245,19 +261,16 @@ def run_pretraining(bundle: DataBundle, run_cfg: RunConfig, seed: int, out_dir,
     """
     run_cfg.validate()
     sched = run_cfg.schedule
-    os.makedirs(out_dir, exist_ok=True)
-
     train_records = bundle.split("train")
     if not train_records:
         raise ValueError("corpus has no train records")
     cfg, table = resolve_model_config(run_cfg.model, bundle, sched.answer_coverage)
-    total_steps = _total_steps(len(train_records), sched.batch_size, sched.epochs)
 
     # what a resumed run must share with its checkpoint beyond the optimizer's schedule
     run_extra = {"phase2_lr": sched.phase2_lr, "qa_start_fraction": sched.qa_start_fraction,
                  "clip_norm": sched.clip_norm, "gate_object_tasks": sched.gate_object_tasks,
                  **asdict(run_cfg.masking)}
-    resume_epoch = None
+    opt = resume_epoch = None
     if resume is not None:
         # checked against its own stored config, then compared with cfg field
         # by field below, so another answer table is named rather than the
@@ -274,7 +287,8 @@ def run_pretraining(bundle: DataBundle, run_cfg: RunConfig, seed: int, out_dir,
         for name, stored, given in (
                 ("peak_lr", opt.peak_lr, sched.peak_lr),
                 ("warmup_fraction", opt.warmup_fraction, sched.warmup_fraction),
-                ("total_steps", opt.total_steps, total_steps),
+                ("total_steps", opt.total_steps,
+                 math.ceil(len(train_records) / sched.batch_size) * sched.epochs),
                 ("answers", ckpt.extra.get("answers"), table.answers),
                 *((key, ckpt.extra[key], value) for key, value in run_extra.items()
                   if key in ckpt.extra),
@@ -289,7 +303,6 @@ def run_pretraining(bundle: DataBundle, run_cfg: RunConfig, seed: int, out_dir,
     else:
         init_rng, train_rng = _rngs(seed)
         params = init_params(cfg, init_rng, heads=(PRETRAIN_HEADS,))
-        opt = OptimizerState.init(params, sched.peak_lr, sched.warmup_fraction, total_steps)
 
     maker = BatchMaker(train_records, bundle.store, bundle.vocab, table,
                        run_cfg.masking, cfg)
@@ -304,28 +317,18 @@ def run_pretraining(bundle: DataBundle, run_cfg: RunConfig, seed: int, out_dir,
         return losses.total, losses.floats()
 
     def checkpoint(epoch: int) -> Checkpoint:
-        return Checkpoint(
-            config=cfg, heads=(PRETRAIN_HEADS,), params=params,
-            opt_state=opt, rng_state=_rng_state(train_rng),
-            extra={"epoch": epoch, "answers": table.answers,
-                   "answer_coverage": sched.answer_coverage, **run_extra})
+        return Checkpoint(config=cfg, heads=(PRETRAIN_HEADS,), params=params,
+                          extra={"epoch": epoch, "answers": table.answers,
+                                 "answer_coverage": sched.answer_coverage, **run_extra})
 
-    def save_epoch(epoch: int) -> None:
-        save_checkpoint(os.path.join(out_dir, f"checkpoint-epoch-{epoch + 1}.ckpt"),
-                        checkpoint(epoch + 1))
-
-    metrics_path = os.path.join(out_dir, "metrics.jsonl")
-    history = _fit(
-        train_records, step_loss, params, opt, train_rng, metrics_path,
+    result = _fit(
+        train_records, step_loss, params, train_rng, out_dir, checkpoint,
         epochs=sched.epochs, batch_size=sched.batch_size, peak_lr=sched.peak_lr,
         warmup_fraction=sched.warmup_fraction, clip_norm=sched.clip_norm, log=log,
+        opt=opt, save_epochs=sched.checkpoint_every_epoch,
         phase2_epoch=int(round(sched.epochs * sched.qa_start_fraction)),
-        phase2_lr=sched.phase2_lr, resume_epoch=resume_epoch,
-        end_epoch=save_epoch if sched.checkpoint_every_epoch else None)
-
-    final_path = os.path.join(out_dir, "checkpoint-final.ckpt")
-    save_checkpoint(final_path, checkpoint(sched.epochs))
-    return PretrainResult(final_path, metrics_path, history, cfg, table.answers)
+        phase2_lr=sched.phase2_lr, resume_epoch=resume_epoch)
+    return replace(result, answers=table.answers)
 
 
 # ---------------------------------------------------------------------------
@@ -433,22 +436,12 @@ def evaluate_checkpoint(ckpt: Checkpoint, bundle: DataBundle, seed: int) -> dict
 # fine-tuning
 
 
-@dataclass
-class FinetuneResult:
-    final_checkpoint: str
-    metrics_path: str
-    history: list[dict]
-    dev_accuracy: float
-    answers: list[str] | None = None
-
-
 def run_finetune_qa(ckpt: Checkpoint, bundle: DataBundle, run_cfg: RunConfig,
-                    seed: int, out_dir, log=None) -> FinetuneResult:
+                    seed: int, out_dir, log=None) -> RunResult:
     """Fine-tune on question answering with a fresh answer head by default."""
     ft = run_cfg.finetune.validate()
     cfg = ckpt.config
     _check_data(cfg, bundle)
-    os.makedirs(out_dir, exist_ok=True)
     train_qs = [r for r in bundle.split("train") if r.is_question]
     if not train_qs:
         raise ValueError("fine-tuning corpus has no train questions")
@@ -466,10 +459,6 @@ def run_finetune_qa(ckpt: Checkpoint, bundle: DataBundle, run_cfg: RunConfig,
         fresh = init_head_params(cfg, head_rng, PRETRAIN_HEADS)
         params["head.qa.w"] = fresh["head.qa.w"]
         params["head.qa.b"] = fresh["head.qa.b"]
-
-    rows_train = [r for r in train_qs if table.lookup(r.answer) != OUT_OF_TABLE]
-    total_steps = _total_steps(len(rows_train), ft.batch_size, ft.epochs)
-    opt = OptimizerState.init(params, ft.lr, ft.warmup_fraction, total_steps)
     rt = Runtime(training=True, rng=train_rng)
 
     def step_loss(chunk, _phase2):
@@ -479,19 +468,15 @@ def run_finetune_qa(ckpt: Checkpoint, bundle: DataBundle, run_cfg: RunConfig,
                           packed.is_question, params)
         return loss, {"loss": loss.item()}
 
-    metrics_path = os.path.join(out_dir, "metrics.jsonl")
-    history = _fit(rows_train, step_loss, params, opt, train_rng, metrics_path,
-                   epochs=ft.epochs, batch_size=ft.batch_size, peak_lr=ft.lr,
-                   warmup_fraction=ft.warmup_fraction, clip_norm=ft.clip_norm, log=log)
-
-    final = Checkpoint(config=cfg, heads=(PRETRAIN_HEADS,), params=params,
-                       opt_state=opt, rng_state=_rng_state(train_rng),
-                       extra={"answers": table.answers, "finetuned": "qa"})
-    final_path = os.path.join(out_dir, "checkpoint-final.ckpt")
-    save_checkpoint(final_path, final)
-    dev_accuracy, _ = _qa_accuracy(params, cfg, bundle, table)
-    return FinetuneResult(final_path, metrics_path, history,
-                          dev_accuracy=dev_accuracy, answers=table.answers)
+    rows_train = [r for r in train_qs if table.lookup(r.answer) != OUT_OF_TABLE]
+    result = _fit(
+        rows_train, step_loss, params, train_rng, out_dir,
+        lambda _: Checkpoint(config=cfg, heads=(PRETRAIN_HEADS,), params=params,
+                             extra={"answers": table.answers, "finetuned": "qa"}),
+        epochs=ft.epochs, batch_size=ft.batch_size, peak_lr=ft.lr,
+        warmup_fraction=ft.warmup_fraction, clip_norm=ft.clip_norm, log=log)
+    return replace(result, answers=table.answers,
+                   dev_accuracy=_qa_accuracy(params, cfg, bundle, table)[0])
 
 
 def _pair_rows(pairs: list[PairRecord], store: FeatureStore, vocab: Vocabulary,
@@ -511,12 +496,11 @@ def _pair_cls(pairs: list[PairRecord], params: dict[str, Tensor], cfg: ModelConf
 
 
 def run_finetune_pairwise(ckpt: Checkpoint, bundle: DataBundle, run_cfg: RunConfig,
-                          seed: int, out_dir, log=None) -> FinetuneResult:
+                          seed: int, out_dir, log=None) -> RunResult:
     """Fine-tune the two-image head: both passes share the encoder parameters."""
     ft = run_cfg.finetune.validate()
     cfg = ckpt.config
     _check_data(cfg, bundle)
-    os.makedirs(out_dir, exist_ok=True)
     if bundle.pairs is None:
         raise ValueError("pairwise fine-tuning needs a pair corpus (two image ids per record)")
     train_pairs = [p for p in bundle.pairs if p.split == "train"]
@@ -528,9 +512,6 @@ def run_finetune_pairwise(ckpt: Checkpoint, bundle: DataBundle, run_cfg: RunConf
     params = _clone_params(ckpt.params)
     params.update(init_head_params(cfg, head_rng, PAIRWISE_HEAD))
     heads = tuple(dict.fromkeys(list(ckpt.heads) + [PAIRWISE_HEAD]))
-
-    total_steps = _total_steps(len(train_pairs), ft.batch_size, ft.epochs)
-    opt = OptimizerState.init(params, ft.lr, ft.warmup_fraction, total_steps)
     rt = Runtime(training=True, rng=train_rng)
 
     def step_loss(chunk, _phase2):
@@ -538,39 +519,34 @@ def run_finetune_pairwise(ckpt: Checkpoint, bundle: DataBundle, run_cfg: RunConf
         loss = pairwise_bce(pairwise_logit(cls0, cls1, params, cfg.ln_eps), labels)
         return loss, {"loss": loss.item()}
 
-    metrics_path = os.path.join(out_dir, "metrics.jsonl")
-    history = _fit(train_pairs, step_loss, params, opt, train_rng, metrics_path,
-                   epochs=ft.epochs, batch_size=ft.batch_size, peak_lr=ft.lr,
-                   warmup_fraction=ft.warmup_fraction, clip_norm=ft.clip_norm, log=log)
+    result = _fit(
+        train_pairs, step_loss, params, train_rng, out_dir,
+        lambda _: Checkpoint(config=cfg, heads=heads, params=params,
+                             extra={**(ckpt.extra or {}), "finetuned": "pairwise"}),
+        epochs=ft.epochs, batch_size=ft.batch_size, peak_lr=ft.lr,
+        warmup_fraction=ft.warmup_fraction, clip_norm=ft.clip_norm, log=log)
 
     hits = 0
     for chunk in _batched(dev_pairs, ft.batch_size):
         cls0, cls1, labels = _pair_cls(chunk, params, cfg, bundle)
         prob = pairwise_forward(cls0, cls1, params, cfg.ln_eps).data
         hits += int(((prob > 0.5).astype(int) == labels).sum())
-
-    final = Checkpoint(config=cfg, heads=heads, params=params,
-                       opt_state=opt, rng_state=_rng_state(train_rng),
-                       extra={**(ckpt.extra or {}), "finetuned": "pairwise"})
-    final_path = os.path.join(out_dir, "checkpoint-final.ckpt")
-    save_checkpoint(final_path, final)
-    return FinetuneResult(final_path, metrics_path, history,
-                          dev_accuracy=_ratio(hits, len(dev_pairs)))
+    return replace(result, dev_accuracy=_ratio(hits, len(dev_pairs)))
 
 
 # ---------------------------------------------------------------------------
 # attention dump
 
 
-def dump_attention(ckpt: Checkpoint, bundle: DataBundle, index: int, out_path,
-                   split: str = "dev") -> dict:
-    """Run one pair through the model and write every attention matrix.
+def dump_attention(ckpt: Checkpoint, bundle: DataBundle, index: int, out_path) -> dict:
+    """Run row ``index`` of the evaluation split through the model and write
+    every attention matrix.
 
     The dump is JSON keyed by encoder name, layer, head and direction; each
     matrix row is a softmax distribution over the context and carries token
     or object row labels.
     """
-    rows = bundle.split(split) or bundle.records
+    rows = _eval_split(bundle)
     if not 0 <= index < len(rows):
         raise ValueError(f"record index {index} out of range [0, {len(rows)})")
     record = rows[index]

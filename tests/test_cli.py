@@ -373,6 +373,22 @@ def test_truncated_feature_store_is_data_error(data_dir, run_dir, tmp_path, caps
     assert "error[data]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, text", [
+    ("vocab.json", b'{"tokens": ["a\xff"]}'),
+    ("vocab.json", b'{"tokens": ["a", "a"]}'),
+    ("labels.json", b'{"labels": 3}'),
+])
+def test_unreadable_vocab_or_labels_file_is_data_error(name, text, data_dir, run_dir, tmp_path,
+                                                       capsys):
+    bad = tmp_path / "data"
+    shutil.copytree(data_dir, bad)
+    (bad / name).write_bytes(text)
+    code = main(["evaluate", "--data", str(bad),
+                 "--checkpoint", str(run_dir / "checkpoint-final.ckpt")])
+    assert code == 3
+    assert f"error[data]: {bad / name}: " in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def one_image_dev(tmp_path_factory):
     """A 10-image corpus, whose dev split holds one image, and a 1-epoch pre-training run."""

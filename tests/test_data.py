@@ -30,6 +30,7 @@ from crossmodal.data import (
     generate_synthetic_corpus,
     load_corpus,
     load_pairs,
+    load_string_list,
     plain_row,
     save_corpus,
     save_pairs,
@@ -436,6 +437,49 @@ def test_jsonl_reader_truncated_or_with_one_flipped_byte_loads_or_raises_a_forma
             st.integers(1, 255), label="xor")
     try:
         _load_from_bytes(load, bytes(raw), "records.jsonl")
+    except CorpusFormatError:
+        pass
+
+
+def _load_labels(path):
+    return load_string_list(path, "labels")
+
+
+_LIST_BYTES = {
+    "vocab": (Vocabulary.load, _saved_bytes(Vocabulary.save, Vocabulary(["cat", "caf\u00e9"]),
+                                            "vocab.json")),
+    "labels": (_load_labels, json.dumps({"labels": ["dog", "caf\u00e9"]}).encode("utf-8")),
+}
+
+
+@pytest.mark.parametrize("reader, text, fault", [
+    ("vocab", b'{"tokens": ["a", "\xff"]}', "codec can't decode"),
+    ("vocab", b'{"tokens": ["a", "a"]}', "duplicate tokens"),
+    ("vocab", b'{"tokens": ["a", 3]}', "tokens must be a list of strings"),
+    ("vocab", b'["a"]', "tokens must be a list of strings"),
+    ("labels", b'{"labels": 3}', "labels must be a list of strings"),
+    ("labels", b'{"names": ["a"]}', "labels must be a list of strings"),
+    ("labels", b'{"labels": ["a"', "Expecting"),
+])
+def test_string_list_file_fault_is_a_format_error_naming_the_file(reader, text, fault):
+    with pytest.raises(CorpusFormatError, match=f"list.json: .*{fault}"):
+        _load_from_bytes(_LIST_BYTES[reader][0], text, "list.json")
+
+
+@pytest.mark.parametrize("reader", sorted(_LIST_BYTES))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_string_list_reader_truncated_or_with_one_flipped_byte_loads_or_raises_a_format_error(
+        reader, data):
+    load, raw = _LIST_BYTES[reader]
+    raw = bytearray(raw)
+    if data.draw(st.booleans(), label="truncate"):
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="cut")]
+    else:
+        raw[data.draw(st.integers(0, len(raw) - 1), label="offset")] ^= data.draw(
+            st.integers(1, 255), label="xor")
+    try:
+        _load_from_bytes(load, bytes(raw), "list.json")
     except CorpusFormatError:
         pass
 

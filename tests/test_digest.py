@@ -19,7 +19,8 @@ def test_fixed_seed_digest_is_repeatable():
     paths = [line.split("  ", 1)[1] for line in first]
     for path in ("data/features.bin", "pretrain/metrics.jsonl", "resumed/checkpoint-final.ckpt",
                  "evaluate.json", "finetune-qa/checkpoint-final.ckpt",
-                 "finetune-pairwise/metrics.jsonl", "attention.json"):
+                 "finetune-qa-reused/checkpoint-final.ckpt", "finetune-pairwise/metrics.jsonl",
+                 "finetune-pairwise-scratch/checkpoint-final.ckpt", "attention.json"):
         assert path in paths
     # a resumed run ends where the uninterrupted one does
     final = {path: line.split("  ", 1)[0] for line, path in zip(first, paths)}

@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from crossmodal.checkpoint import load_checkpoint
+from crossmodal.checkpoint import Checkpoint, load_checkpoint
 from crossmodal.config import MaskingConfig, RunConfig, ScheduleConfig, FinetuneConfig
 from crossmodal.data import (
     DEFAULT_LABELS,
@@ -23,6 +23,7 @@ from crossmodal.embeddings import embed_objects, embed_words
 from crossmodal.encoders import Runtime, forward_batch
 from crossmodal.heads import pairwise_logit, pretrain_losses
 from crossmodal.optim import OptimizerState
+from crossmodal.params import PRETRAIN_HEADS
 from crossmodal.tensor import Tape, Tensor, backward, tsum, zero_grads
 from crossmodal.train import (
     DataBundle,
@@ -193,6 +194,27 @@ def test_evaluate_checkpoint_reports_metrics(tmp_path):
     assert metrics["qa_n"] > 0
 
 
+@pytest.mark.parametrize("run, written", [
+    ("pretrain", ["checkpoint-epoch-1.ckpt", "checkpoint-epoch-2.ckpt",
+                  "checkpoint-final.ckpt", "metrics.jsonl"]),
+    ("pretrain-final-only", ["checkpoint-final.ckpt", "metrics.jsonl"]),
+    ("qa", ["checkpoint-final.ckpt", "metrics.jsonl"]),
+    ("pairwise", ["checkpoint-final.ckpt", "metrics.jsonl"]),
+])
+def test_each_run_writes_its_metrics_and_checkpoints_and_nothing_else(tmp_path, run, written):
+    bundle = small_bundle(pairs=32)
+    out = tmp_path / "run"
+    if run == "pretrain-final-only":
+        cfg = tiny_run_cfg(epochs=2)
+        cfg.schedule.checkpoint_every_epoch = False
+        result = run_pretraining(bundle, cfg, seed=3, out_dir=out)
+    else:
+        result = _seeded_run(run, bundle, 3, out)
+    assert sorted(os.listdir(out)) == written
+    assert result.metrics_path == os.path.join(out, "metrics.jsonl")
+    assert result.final_checkpoint == os.path.join(out, "checkpoint-final.ckpt")
+
+
 def test_finetune_qa_runs_and_reports(tmp_path):
     bundle = small_bundle(n_images=32)
     ckpt = make_initial_checkpoint(tiny_run_cfg(), bundle, seed=8)
@@ -223,6 +245,8 @@ def test_finetune_pairwise_needs_pair_corpus(tmp_path):
     cfg = tiny_run_cfg()
     with pytest.raises(ValueError, match="two image ids"):
         run_finetune_pairwise(ckpt, bundle, cfg, seed=10, out_dir=tmp_path / "ft")
+    # a run that fails its checks before training creates no output directory
+    assert not (tmp_path / "ft").exists()
 
 
 def test_finetune_pairwise_shares_encoder_between_passes(tmp_path):
@@ -420,9 +444,11 @@ def test_fit_step_leaves_parameters_gradients_and_moments_in_one_buffer_each(tmp
     opt = OptimizerState({k: np.zeros_like(p.data) for k, p in params.items()},
                          {k: np.zeros_like(p.data) for k, p in params.items()})
     rng = np.random.default_rng(0)
-    history = _fit(train, lambda chunk, _: (step_loss(params, chunk, rng), {}), params, opt, rng,
-                   tmp_path / "metrics.jsonl", epochs=1, batch_size=len(train),
-                   peak_lr=1e-3, warmup_fraction=0.0, clip_norm=1.0)
+    cfg = make_initial_checkpoint(RunConfig(), small_bundle(), seed=0).config
+    history = _fit(train, lambda chunk, _: (step_loss(params, chunk, rng), {}), params, rng,
+                   tmp_path, lambda _: Checkpoint(cfg, (PRETRAIN_HEADS,), params),
+                   epochs=1, batch_size=len(train), peak_lr=1e-3, warmup_fraction=0.0,
+                   clip_norm=1.0, opt=opt).history
     assert len(history) == 1 and history[0]["grad_norm"] > 0
     _assert_one_buffer([p.data for p in params.values()])
     _assert_one_buffer([p.grad for p in params.values()])

@@ -7,8 +7,10 @@ Usage:
 Runs, with CHECKOUT's ``src/`` (default: the checkout this script sits in)
 and in a temporary directory: ``gen-data``, a 2-epoch ``pretrain``, a
 ``pretrain --resume`` from its epoch-1 checkpoint, ``evaluate``,
-``finetune --task qa``, ``finetune --task pairwise`` and ``dump-attention``,
-each as its own ``python -m crossmodal.cli`` process. It then prints one
+``finetune --task qa`` (with a fresh answer head and with
+``--reuse-qa-head``), ``finetune --task pairwise`` (from the pre-trained
+checkpoint and ``--from-scratch``) and ``dump-attention``, each as its own
+``python -m crossmodal.cli`` process. It then prints one
 ``sha256  path`` line per file the pipeline wrote, sorted by path. A
 ``metrics.jsonl`` is hashed without its ``wall_time`` fields, the only
 values that differ between identical runs. Two checkouts whose outputs are
@@ -33,16 +35,18 @@ PRETRAIN_CONFIG = {"schedule": {"epochs": 2, "batch_size": 8, "peak_lr": 1e-3}}
 def pipeline() -> list[list[str]]:
     """The CLI argument lists, run in order from the working directory."""
     pretrain = ["pretrain", "--data", "data", "--config", "pretrain.json", "--seed", "1"]
-    finetune = ["finetune", "--data", "data", "--checkpoint", "pretrain/checkpoint-final.ckpt",
-                "--epochs", "1", "--seed", "2"]
+    finetune = ["finetune", "--data", "data", "--epochs", "1", "--seed", "2"]
+    pretrained = finetune + ["--checkpoint", "pretrain/checkpoint-final.ckpt"]
     return [
         ["gen-data", "--out", "data", "--images", "24", "--pairs", "24", "--seed", "0"],
         pretrain + ["--out", "pretrain"],
         pretrain + ["--out", "resumed", "--resume", "pretrain/checkpoint-epoch-1.ckpt"],
         ["evaluate", "--data", "data", "--checkpoint", "pretrain/checkpoint-final.ckpt",
          "--seed", "3", "--out", "evaluate.json"],
-        finetune + ["--task", "qa", "--out", "finetune-qa"],
-        finetune + ["--task", "pairwise", "--out", "finetune-pairwise"],
+        pretrained + ["--task", "qa", "--out", "finetune-qa"],
+        pretrained + ["--task", "qa", "--reuse-qa-head", "--out", "finetune-qa-reused"],
+        pretrained + ["--task", "pairwise", "--out", "finetune-pairwise"],
+        finetune + ["--task", "pairwise", "--from-scratch", "--out", "finetune-pairwise-scratch"],
         ["dump-attention", "--data", "data", "--checkpoint", "pretrain/checkpoint-final.ckpt",
          "--out", "attention.json"],
     ]
