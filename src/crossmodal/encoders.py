@@ -5,6 +5,13 @@ layers; the cross-modality encoder stacks layers that apply a bidirectional
 cross-attention sub-layer, then per-modality self-attention, then a
 feed-forward sub-layer, with residual + layer norm after every sub-layer.
 Both cross-attention directions read the same previous-layer inputs.
+
+The model runs as three stages: ``language_stack`` (word embedding and the
+``lang.*`` layers), ``object_stack`` (object embedding and the ``vis.*``
+layers) and ``cross_stack`` (the ``cross.*`` layers and the [CLS] row).
+The first two are single-modality, so a sentence's or an image's states do
+not depend on the other modality, and evaluation encodes each once.
+``forward_batch`` runs the three in that order on one packed batch.
 """
 
 from __future__ import annotations
@@ -140,26 +147,47 @@ def cross_modality_layer(
     return lang_out, vis_out, weights
 
 
+def language_stack(token_ids: np.ndarray, token_mask: np.ndarray, params: dict[str, Tensor],
+                   cfg: ModelConfig, rt: Runtime = EVAL
+                   ) -> tuple[Tensor, list[AttentionRecord]]:
+    """Word embedding and the ``lang.*`` layers on (B, n) ids: (B, n, d) states and their attention."""
+    lang = embed_words(token_ids, params, cfg)
+    records = []
+    for i in range(cfg.n_lang_layers):
+        lang, w = single_modality_layer(lang, token_mask, params, f"lang.{i}", cfg, rt)
+        records.append(AttentionRecord("language", i, "self-L", w))
+    return lang, records
+
+
+def object_stack(roi_features: np.ndarray, boxes: np.ndarray, obj_mask_flags: np.ndarray,
+                 obj_real: np.ndarray, params: dict[str, Tensor], cfg: ModelConfig,
+                 rt: Runtime = EVAL) -> tuple[Tensor, list[AttentionRecord]]:
+    """Object embedding and the ``vis.*`` layers on (B, m, .) objects: (B, m, d) states and their attention."""
+    vis = embed_objects(roi_features, boxes, obj_mask_flags, params, cfg)
+    records = []
+    for i in range(cfg.n_vis_layers):
+        vis, w = single_modality_layer(vis, obj_real, params, f"vis.{i}", cfg, rt)
+        records.append(AttentionRecord("object", i, "self-R", w))
+    return vis, records
+
+
+def cross_stack(lang: Tensor, vis: Tensor, token_mask: np.ndarray, obj_real: np.ndarray,
+                params: dict[str, Tensor], cfg: ModelConfig, rt: Runtime = EVAL) -> ModelOutputs:
+    """The ``cross.*`` layers on the two single-modality stacks' states, and the [CLS] row."""
+    records = []
+    for k in range(cfg.n_cross_layers):
+        lang, vis, group = cross_modality_layer(
+            lang, vis, token_mask, obj_real, params, f"cross.{k}", cfg, rt)
+        records.extend(AttentionRecord("cross", k, name, w) for name, w in group)
+    return ModelOutputs(lang=lang, vis=vis, cls=lang[:, 0, :], attention=records)
+
+
 def forward_batch(packed: PackedBatch, params: dict[str, Tensor], cfg: ModelConfig,
                   rt: Runtime = EVAL) -> ModelOutputs:
     """Run the full three-encoder model on a packed batch."""
-    lang = embed_words(packed.token_ids, params, cfg)
-    vis = embed_objects(packed.roi_features, packed.boxes, packed.obj_mask_flags, params, cfg)
-    lang_mask = packed.token_mask
-    vis_mask = packed.obj_real
-
-    records: list[AttentionRecord] = []
-    for i in range(cfg.n_lang_layers):
-        lang, w = single_modality_layer(lang, lang_mask, params, f"lang.{i}", cfg, rt)
-        records.append(AttentionRecord("language", i, "self-L", w))
-    for i in range(cfg.n_vis_layers):
-        vis, w = single_modality_layer(vis, vis_mask, params, f"vis.{i}", cfg, rt)
-        records.append(AttentionRecord("object", i, "self-R", w))
-    for k in range(cfg.n_cross_layers):
-        lang, vis, group = cross_modality_layer(
-            lang, vis, lang_mask, vis_mask, params, f"cross.{k}", cfg, rt)
-        records.extend(AttentionRecord("cross", k, name, w) for name, w in group)
-
-    cls = lang[:, 0, :]
-    return ModelOutputs(lang=lang, vis=vis, cls=cls, attention=records)
-
+    lang, lang_records = language_stack(packed.token_ids, packed.token_mask, params, cfg, rt)
+    vis, vis_records = object_stack(packed.roi_features, packed.boxes, packed.obj_mask_flags,
+                                    packed.obj_real, params, cfg, rt)
+    out = cross_stack(lang, vis, packed.token_mask, packed.obj_real, params, cfg, rt)
+    out.attention[:0] = lang_records + vis_records
+    return out

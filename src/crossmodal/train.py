@@ -46,7 +46,15 @@ from .data import (
     load_string_list,
     plain_row,
 )
-from .encoders import EVAL, Runtime, forward_batch
+from .encoders import (
+    EVAL,
+    ModelOutputs,
+    Runtime,
+    cross_stack,
+    forward_batch,
+    language_stack,
+    object_stack,
+)
 from .heads import (
     head_logits,
     masked_object_rows,
@@ -359,17 +367,72 @@ def _qa_batch(questions: list[CorpusRecord], bundle: DataBundle, cfg: ModelConfi
     return collate(CrossModalBatch(rows), bundle.vocab)
 
 
-def _accuracy(packed_batches, params: dict[str, Tensor], cfg: ModelConfig, head: str,
-              pick) -> tuple[int, int]:
-    """Argmax hits of ``head`` over ``packed_batches``, and the number scored.
+class _DevScorer:
+    """Eval-mode forward passes of one evaluation, encoding each sentence and image once.
+
+    A sentence's language-stack states depend on its token ids alone and an
+    image's object-stack states on its objects alone, so each distinct token
+    sequence, and each image's unmasked objects, is encoded by the first
+    batch that holds it and kept until the scorer is dropped. Every batch
+    then runs only the cross stack. A row with masked objects has its
+    objects encoded afresh.
+    """
+
+    def __init__(self, params: dict[str, Tensor], cfg: ModelConfig):
+        self.params = params
+        self.cfg = cfg
+        self.lang: dict[bytes, np.ndarray] = {}  # token ids -> (n, d) states
+        self.vis: dict[str, np.ndarray] = {}     # image id -> (m, d) unmasked states
+
+    def forward(self, image_ids: list[str], packed: PackedBatch) -> ModelOutputs:
+        """``forward_batch(packed)`` in eval mode, up to float32 rounding, for rows
+        showing ``image_ids``."""
+        params, cfg = self.params, self.cfg
+        lengths = packed.token_mask.sum(axis=1)
+        keys = [ids[:k].tobytes() for ids, k in zip(packed.token_ids, lengths)]
+        fresh = list({key: i for i, key in enumerate(keys) if key not in self.lang}.values())
+        if fresh:
+            n = lengths[fresh].max()
+            states, _ = language_stack(packed.token_ids[fresh, :n], packed.token_mask[fresh, :n],
+                                       params, cfg)
+            self.lang.update((keys[i], row[:lengths[i]]) for i, row in zip(fresh, states.data))
+        # padded positions stay zero: the cross stack masks them as context
+        lang = np.zeros(packed.token_ids.shape + (cfg.hidden_size,), self.lang[keys[0]].dtype)
+        for row, key in zip(lang, keys):
+            row[:len(self.lang[key])] = self.lang[key]
+
+        masked = packed.obj_mask_flags.any(axis=1)
+        fresh = list({image_ids[i]: i for i in np.flatnonzero(~masked)
+                      if image_ids[i] not in self.vis}.values())
+        if fresh:
+            self.vis.update(zip((image_ids[i] for i in fresh), self._objects(packed, fresh)))
+        vis = np.empty(packed.obj_mask_flags.shape + (cfg.hidden_size,), lang.dtype)
+        for i in np.flatnonzero(~masked):
+            vis[i] = self.vis[image_ids[i]]
+        if masked.any():
+            vis[masked] = self._objects(packed, masked)
+        return cross_stack(Tensor(lang), Tensor(vis), packed.token_mask, packed.obj_real,
+                           params, cfg)
+
+    def _objects(self, packed: PackedBatch, rows) -> np.ndarray:
+        """Object-stack states of the batch rows ``rows`` (indices or a row mask)."""
+        states, _ = object_stack(packed.roi_features[rows], packed.boxes[rows],
+                                 packed.obj_mask_flags[rows], packed.obj_real[rows],
+                                 self.params, self.cfg)
+        return states.data
+
+
+def _accuracy(scorer: _DevScorer, batches, head: str, pick) -> tuple[int, int]:
+    """Argmax hits of ``head`` over ``batches`` of (image ids, packed batch), and the
+    number scored.
 
     ``pick(packed, outputs)`` returns the head's input rows for a batch and
     their true classes.
     """
     hits = total = 0
-    for packed in packed_batches:
-        x, truth = pick(packed, forward_batch(packed, params, cfg))
-        hits += int((head_logits(x, params, head).data.argmax(axis=1) == truth).sum())
+    for image_ids, packed in batches:
+        x, truth = pick(packed, scorer.forward(image_ids, packed))
+        hits += int((head_logits(x, scorer.params, head).data.argmax(axis=1) == truth).sum())
         total += len(truth)
     return hits, total
 
@@ -379,13 +442,13 @@ def _masked_labels(packed: PackedBatch, out) -> tuple[Tensor, np.ndarray]:
     return rows, packed.detected_labels.reshape(-1)[picked]
 
 
-def _qa_accuracy(params: dict[str, Tensor], cfg: ModelConfig, bundle: DataBundle,
-                 table: AnswerTable) -> tuple[float, int]:
+def _qa_accuracy(scorer: _DevScorer, bundle: DataBundle, table: AnswerTable) -> tuple[float, int]:
     """QA accuracy over matched, in-table held-out questions, and their count."""
     questions = [r for r in _eval_split(bundle)
                  if r.is_question and table.lookup(r.answer) != OUT_OF_TABLE]
-    batches = (_qa_batch(chunk, bundle, cfg, table) for chunk in _batched(questions, _EVAL_BATCH))
-    hits, total = _accuracy(batches, params, cfg, "head.qa",
+    batches = (([r.image_id for r in chunk], _qa_batch(chunk, bundle, scorer.cfg, table))
+               for chunk in _batched(questions, _EVAL_BATCH))
+    hits, total = _accuracy(scorer, batches, "head.qa",
                             lambda packed, out: (out.cls, packed.answer_indices))
     return _ratio(hits, total), total
 
@@ -394,33 +457,43 @@ def evaluate_checkpoint(ckpt: Checkpoint, bundle: DataBundle, seed: int) -> dict
     """Held-out metrics: matching accuracy, masked-label accuracy, QA accuracy.
 
     The matching pass mismatches half the rows and masks nothing; the
-    masked-label pass masks 15% of the objects. The matching pass needs at
-    least two distinct images to draw mismatched rows from; on a split with
-    fewer it is skipped (``match_n`` 0, ``match_accuracy`` NaN) and the
-    other two passes still run.
+    masked-label pass masks 15% of the objects and scores only the rows
+    with a masked object. The matching pass needs at least two distinct
+    images to draw mismatched rows from; on a split with fewer it is
+    skipped (``match_n`` 0, ``match_accuracy`` NaN) and the other two
+    passes still run. All three passes share one ``_DevScorer``.
     """
     cfg = ckpt.config
     _check_data(cfg, bundle)
     answers = list((ckpt.extra or {}).get("answers", []))
     table = AnswerTable(answers)
     dev = _eval_split(bundle)
-    params = ckpt.params
+    scorer = _DevScorer(ckpt.params, cfg)
     rng = np.random.default_rng(seed)
 
-    def batches(masking: MaskingConfig):
+    def batches(masking: MaskingConfig, keep=None):
+        """Each chunk's rows that ``keep`` accepts (all by default), with their image ids."""
         maker = BatchMaker(dev, bundle.store, bundle.vocab, table, masking, cfg)
-        return (collate(maker.make_batch(chunk, rng), bundle.vocab)
-                for chunk in _batched(dev, _EVAL_BATCH))
+        for chunk in _batched(dev, _EVAL_BATCH):
+            kept = [(r.image_id, row) for r, row in zip(chunk, maker.make_batch(chunk, rng).rows)
+                    if keep is None or keep(row)]
+            if kept:
+                image_ids, rows = zip(*kept)
+                yield list(image_ids), collate(CrossModalBatch(list(rows)), bundle.vocab)
 
     match_hits = match_total = 0
     if len({r.image_id for r in dev}) >= 2:
         match_hits, match_total = _accuracy(
+            scorer,
             batches(MaskingConfig(word_mask_prob=0.0, object_mask_prob=0.0, mismatch_prob=0.5)),
-            params, cfg, "head.match", lambda packed, out: (out.cls, packed.match_labels))
+            "head.match", lambda packed, out: (out.cls, packed.match_labels))
+    # a row with no masked object holds no label target, so it is not run
     label_hits, label_total = _accuracy(
-        batches(MaskingConfig(word_mask_prob=0.0, mismatch_prob=0.0, object_mask_prob=0.15)),
-        params, cfg, "head.obj_label", _masked_labels)
-    qa_accuracy, qa_total = _qa_accuracy(params, cfg, bundle, table)
+        scorer,
+        batches(MaskingConfig(word_mask_prob=0.0, mismatch_prob=0.0, object_mask_prob=0.15),
+                keep=lambda row: row.obj_mask_flags.any()),
+        "head.obj_label", _masked_labels)
+    qa_accuracy, qa_total = _qa_accuracy(scorer, bundle, table)
     return {
         "match_accuracy": _ratio(match_hits, match_total),
         "match_n": match_total,
@@ -476,7 +549,7 @@ def run_finetune_qa(ckpt: Checkpoint, bundle: DataBundle, run_cfg: RunConfig,
         epochs=ft.epochs, batch_size=ft.batch_size, peak_lr=ft.lr,
         warmup_fraction=ft.warmup_fraction, clip_norm=ft.clip_norm, log=log)
     return replace(result, answers=table.answers,
-                   dev_accuracy=_qa_accuracy(params, cfg, bundle, table)[0])
+                   dev_accuracy=_qa_accuracy(_DevScorer(params, cfg), bundle, table)[0])
 
 
 def _pair_rows(pairs: list[PairRecord], store: FeatureStore, vocab: Vocabulary,

@@ -583,6 +583,65 @@ def test_single_image_corpus_cannot_mismatch():
                MaskingConfig(mismatch_prob=0.0), cfg)
 
 
+@pytest.fixture(scope="module")
+def seeded_maker():
+    return _maker()
+
+
+def _band(count: int, trials: int, p: float) -> bool:
+    """``count`` successes of ``trials`` lie within 5 binomial sigma of ``p``."""
+    return abs(count - p * trials) <= 5 * np.sqrt(trials * p * (1 - p))
+
+
+_RATE = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.02, 0.98))
+
+
+@settings(max_examples=25, deadline=None)
+@given(word=_RATE, obj=_RATE, mismatch=_RATE, seed=st.integers(0, 2 ** 32 - 1))
+def test_make_row_masking_rates_sit_in_binomial_bands(seeded_maker, word, obj, mismatch, seed):
+    base, records, vocab, cfg = seeded_maker
+    masking = MaskingConfig(word_mask_prob=word, object_mask_prob=obj, mismatch_prob=mismatch)
+    maker = BatchMaker(records, base.store, vocab, base.answer_table, masking, cfg)
+    sentences = {}
+    for r in records:
+        ids = tokenize(r.sentence, vocab, cfg.max_sentence_len).tobytes()
+        sentences.setdefault(ids, set()).add(r.image_id)
+    rng = np.random.default_rng(seed)
+    n_rows = 1500
+    eligible = masked = to_mask = kept = mismatched = objects = flagged = 0
+    for i in range(n_rows):
+        record = records[i % len(records)]
+        row = maker.make_row(record, rng)
+        ids, targets = row.token_ids, row.mlm_targets
+        hit = targets >= 0
+        original = np.where(hit, targets, ids)
+        # special tokens ([CLS], [SEP], [UNK]) are never masked
+        assert (original[hit] >= vocab.n_special).all()
+        assert (ids[~hit] == original[~hit]).all()
+        eligible += int((original >= vocab.n_special).sum())
+        masked += int(hit.sum())
+        to_mask += int((ids[hit] == vocab.mask_id).sum())
+        kept += int((ids[hit] == targets[hit]).sum())
+        # a random replacement is never a special token
+        assert (ids[hit & (ids != vocab.mask_id)] >= vocab.n_special).all()
+        objects += len(row.obj_mask_flags)
+        flagged += int(row.obj_mask_flags.sum())
+        if not row.match_label:
+            mismatched += 1
+            # the row keeps its image and carries a sentence of another image
+            assert np.array_equal(row.roi_features, maker.store.get(record.image_id)[0])
+            assert sentences[original.tobytes()] - {record.image_id}
+            assert row.answer_index == OUT_OF_TABLE
+    assert _band(masked, eligible, word), (masked, eligible, word)
+    assert _band(flagged, objects, obj), (flagged, objects, obj)
+    assert _band(mismatched, n_rows, mismatch), (mismatched, n_rows, mismatch)
+    # masked slots resolve 80/10/10 to [MASK] / a random word / unchanged; a
+    # random word equals the original with probability 1 / (non-special words)
+    assert _band(to_mask, masked, 0.8), (to_mask, masked)
+    same = 0.1 + 0.1 / (len(vocab) - vocab.n_special)
+    assert _band(kept, masked, same), (kept, masked)
+
+
 # the dtype of every PackedBatch field, and the row field each one stacks
 PACKED_DTYPES = {
     "token_ids": np.int64, "token_mask": np.bool_, "mlm_targets": np.int64,

@@ -7,6 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from crossmodal.checkpoint import Checkpoint, load_checkpoint
 from crossmodal.config import MaskingConfig, RunConfig, ScheduleConfig, FinetuneConfig
@@ -25,6 +26,7 @@ from crossmodal.heads import pairwise_logit, pretrain_losses
 from crossmodal.optim import OptimizerState
 from crossmodal.params import PRETRAIN_HEADS
 from crossmodal.tensor import Tape, Tensor, backward, tsum, zero_grads
+import crossmodal.train as train
 from crossmodal.train import (
     DataBundle,
     _fit,
@@ -35,6 +37,7 @@ from crossmodal.train import (
     run_finetune_qa,
     run_pretraining,
 )
+from helpers import reference_evaluation
 
 
 def small_bundle(seed=0, n_images=24, pairs=0):
@@ -192,6 +195,75 @@ def test_evaluate_checkpoint_reports_metrics(tmp_path):
         assert key in metrics
     assert 0.0 <= metrics["match_accuracy"] <= 1.0
     assert metrics["qa_n"] > 0
+
+
+@settings(max_examples=20, deadline=None)
+@given(corpus_seed=st.integers(0, 2 ** 16), n_images=st.integers(2, 16),
+       objects=st.integers(2, 8), dev_fraction=st.floats(0.3, 0.95),
+       init_seed=st.integers(0, 2 ** 16), eval_seed=st.integers(0, 2 ** 16))
+# the label pass flags no object at all
+@example(corpus_seed=1, n_images=2, objects=2, dev_fraction=0.5, init_seed=0, eval_seed=1269)
+def test_dev_scorer_matches_forward_batch_on_every_pass(corpus_seed, n_images, objects,
+                                                        dev_fraction, init_seed, eval_seed):
+    # captions list every object, so sentence lengths differ within a corpus and the
+    # encoding chunks pad differently from the pass batches
+    records, store = generate_synthetic_corpus(seed=corpus_seed, n_images=n_images,
+                                               label_vocab=DEFAULT_LABELS,
+                                               objects_per_image=objects,
+                                               dev_fraction=dev_fraction)
+    bundle = DataBundle(records, store, Vocabulary.from_records(records), list(DEFAULT_LABELS))
+    run_cfg = RunConfig()
+    run_cfg.model.objects_per_image = objects
+    ckpt = make_initial_checkpoint(run_cfg, bundle, seed=init_seed)
+    scored = {"head.match": [], "head.obj_label": [], "head.qa": []}
+
+    def recording(x, params, head):
+        logits = train_head_logits(x, params, head)
+        scored[head].append(logits.data)
+        return logits
+
+    train_head_logits = train.head_logits
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(train, "head_logits", recording)
+        metrics = evaluate_checkpoint(ckpt, bundle, seed=eval_seed)
+    expected, reference = reference_evaluation(ckpt, bundle, seed=eval_seed)
+    # NaN != NaN, so compare the dicts through their reprs
+    assert repr(metrics) == repr(expected)
+    for head, logits in scored.items():
+        # a pass with no scored row may call the head on zero rows or not at all
+        got = np.concatenate([z.reshape(-1) for z in logits] + [np.zeros(0, np.float32)])
+        assert got.shape == reference[head].shape, head
+        # forward_batch is not bit-stable under a change of batch: the float32
+        # GEMV behind each layer-norm mean rounds a batch's last two or three
+        # rows differently, so allow 32 float32 epsilons on unit-scale states
+        np.testing.assert_allclose(got, reference[head], rtol=1e-6,
+                                   atol=32 * np.finfo(np.float32).eps, err_msg=head)
+
+
+@pytest.mark.parametrize("dev_rows, seed", [(1, 2), (33, 8)])
+def test_evaluate_skips_a_label_batch_with_no_masked_object(dev_rows, seed):
+    records, store = generate_synthetic_corpus(seed=0, n_images=24, label_vocab=DEFAULT_LABELS,
+                                               dev_fraction=0.5)
+    train_rows = [r for r in records if r.split == "train"]
+    dev = [r for r in records if r.split == "dev"][:dev_rows]
+    bundle = DataBundle(train_rows + dev, store, Vocabulary.from_records(train_rows),
+                        list(DEFAULT_LABELS))
+    ckpt = make_initial_checkpoint(RunConfig(), bundle, seed=0)
+    # replay the passes' draws: the label pass's last chunk, one row, flags no object
+    rng = np.random.default_rng(seed)
+    passes = [MaskingConfig(0.0, 0.15, 0.0)]
+    if len({r.image_id for r in dev}) >= 2:
+        passes.insert(0, MaskingConfig(0.0, 0.0, 0.5))
+    for masking in passes:
+        maker = BatchMaker(dev, store, bundle.vocab, AnswerTable(ckpt.extra["answers"]),
+                           masking, ckpt.config)
+        flagged = [int(maker.make_row(r, rng).obj_mask_flags.sum()) for r in dev]
+    assert len(dev) % 32 == 1 and flagged[-1] == 0
+
+    metrics = evaluate_checkpoint(ckpt, bundle, seed=seed)
+    assert metrics["masked_label_n"] == sum(flagged)
+    assert (sum(flagged) == 0) == np.isnan(metrics["masked_label_accuracy"])
+    assert repr(metrics) == repr(reference_evaluation(ckpt, bundle, seed=seed)[0])
 
 
 @pytest.mark.parametrize("run, written", [

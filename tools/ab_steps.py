@@ -15,8 +15,9 @@ a few consecutive runs of the workload:
   (zero the gradients, record the losses on a tape, back-propagate, clip, take
   an Adam step), the loop body of ``train._fit``;
 - ``pairwise-b32``: a pairwise fine-tuning step, two encoder passes per pair;
-- ``eval-b32``: an eval-mode forward of 32 rows and the match head, as
-  ``evaluate_checkpoint`` scores a batch.
+- ``eval-b32``: an eval-mode ``forward_batch`` of 32 rows and the match head;
+- ``evaluate``: a whole ``evaluate_checkpoint`` of the corpus's dev split
+  (20 rows of 4 images), its matching, masked-label and QA passes.
 
 For each workload it prints both sides' median sample time, the median of
 the per-pair ratios A/B (above 1 means B is faster) and the number of pairs
@@ -35,8 +36,9 @@ import statistics
 import sys
 import time
 
-WORKLOADS = ("pretrain-b4", "pretrain-b32", "pairwise-b32", "eval-b32")
-RUNS_PER_SAMPLE = {"pretrain-b4": 8, "pretrain-b32": 2, "pairwise-b32": 2, "eval-b32": 8}
+WORKLOADS = ("pretrain-b4", "pretrain-b32", "pairwise-b32", "eval-b32", "evaluate")
+RUNS_PER_SAMPLE = {"pretrain-b4": 8, "pretrain-b32": 2, "pairwise-b32": 2, "eval-b32": 8,
+                   "evaluate": 4}
 WARMUP = 2
 
 
@@ -122,6 +124,7 @@ def workloads(pkg_name: str) -> dict:
         "pretrain-b32": training_step(fresh(), pretrain_loss(32)),
         "pairwise-b32": training_step(fresh(pair_head), pairwise_loss),
         "eval-b32": eval_forward,
+        "evaluate": lambda: train.evaluate_checkpoint(ckpt, bundle, seed=3),
     }
 
 
