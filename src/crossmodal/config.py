@@ -108,7 +108,6 @@ class ScheduleConfig:
     warmup_fraction: float = 0.05
     clip_norm: float | None = 5.0
     qa_start_fraction: float = 0.5
-    phase2_lr: float | None = None
     answer_coverage: float = 1.0
     gate_object_tasks: bool = False
     checkpoint_every_epoch: bool = True

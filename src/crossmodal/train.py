@@ -1,18 +1,18 @@
 """Training loops, evaluation, attention dumps, and data-directory plumbing.
 
 Pre-training and both fine-tuning tasks are runs of one loop, ``_fit``,
-which owns everything a run shares: the output directory, the Adam state
-(fresh, or the resumed one), ``metrics.jsonl``, the per-epoch and final
-checkpoints, and the ``RunResult``. Each epoch it draws one shuffle of the
-rows; each step it zeroes the gradients, records the caller's step loss on
-a tape, back-propagates, clips, sets the scheduled learning rate, takes an
-Adam step and appends one metrics line. The callers keep what differs: the
-rows, the step loss, the head set-up, the checkpoint's stored ``extra``,
-the resume checks and the dev score. Pre-training runs in two phases: the
-QA loss is disabled for the first part of the epochs and enabled for the
-rest (``qa_start_fraction``, default the second half). Its checkpoints are
-saved per epoch with optimizer and rng state, so training can resume and
-reproduce the uninterrupted run exactly.
+which owns everything a run shares: the output directory, ``metrics.jsonl``,
+the per-epoch and final checkpoints, and the ``RunResult``. The run's Adam
+state, fresh or resumed, is the one record of its schedule and progress:
+``_fit`` runs from its step to its total steps. Each epoch draws one
+shuffle of the rows; each step zeroes the gradients, records the caller's
+step loss on a tape, back-propagates, clips, sets the scheduled learning
+rate, takes an Adam step and appends one metrics line. The callers keep
+what differs: the rows, the step loss, the head set-up, the checkpoint's
+stored ``extra``, the resume checks and the dev score. Pre-training's step
+loss enables QA from ``qa_start_fraction`` of the epochs on. Its checkpoints
+carry optimizer and rng state, so a resumed run reproduces the
+uninterrupted one exactly.
 """
 
 from __future__ import annotations
@@ -172,23 +172,25 @@ class RunResult:
     dev_accuracy: float | None = None
 
 
+def _step_count(n_items: int, batch_size: int, epochs: int) -> int:
+    """Optimizer steps in ``epochs`` epochs over ``n_items`` rows at ``batch_size``."""
+    return math.ceil(n_items / batch_size) * epochs
+
+
 def _fit(items: list, step_loss, params: dict[str, Tensor], rng: np.random.Generator,
-         out_dir, checkpoint, *, epochs: int, batch_size: int, peak_lr: float,
-         warmup_fraction: float, clip_norm: float | None, log=None,
-         opt: OptimizerState | None = None, save_epochs: bool = False,
-         phase2_epoch: int | None = None, phase2_lr: float | None = None,
-         resume_epoch: int | None = None) -> RunResult:
+         out_dir, checkpoint, opt: OptimizerState, *, batch_size: int,
+         clip_norm: float | None, log=None, save_epochs: bool = False) -> RunResult:
     """Train ``params`` in place over ``items`` as one run written to ``out_dir``.
 
-    The run's Adam state is ``opt`` when resuming, else a fresh one for this
-    schedule. Each epoch draws one permutation of ``items`` from ``rng``.
-    Each step calls ``step_loss(chunk, phase2)`` under a tape; it returns
-    the scalar loss and the loss fields of the step's line in the metrics
-    file, which also carries the global gradient norm before clipping.
-    ``phase2`` is true from epoch ``phase2_epoch`` on, where ``phase2_lr``
-    (when set) replaces the peak learning rate. With ``resume_epoch`` the
-    run starts at that epoch and appends to the metrics file, after dropping
-    the lines a crashed run wrote from that epoch on.
+    ``opt`` is the run's Adam state: a fresh one (``OptimizerState.init``)
+    or a resumed one. The run takes steps ``opt.step`` to ``opt.total_steps``,
+    each at ``lr_at_step`` of ``opt``'s schedule; ``opt.step`` is a whole
+    number of epochs. When ``opt.step > 0`` it appends to the metrics file,
+    after dropping the lines a crashed run wrote from that step on. Each
+    epoch draws one permutation of ``items`` from ``rng``. Each step calls
+    ``step_loss(chunk)`` under a tape; it returns the scalar loss and the
+    loss fields of the step's line in the metrics file, which also carries
+    the global gradient norm before clipping.
 
     ``checkpoint(epoch)`` builds the run's ``Checkpoint`` after ``epoch``
     epochs; ``_fit`` adds the Adam and rng state to it. With ``save_epochs``
@@ -196,10 +198,8 @@ def _fit(items: list, step_loss, params: dict[str, Tensor], rng: np.random.Gener
     epoch's metrics lines are flushed; it is always saved as
     ``checkpoint-final`` after the last epoch.
     """
-    steps_per_epoch = math.ceil(len(items) / batch_size)
-    total_steps = steps_per_epoch * epochs
-    if opt is None:
-        opt = OptimizerState.init(params, peak_lr, warmup_fraction, total_steps)
+    steps_per_epoch = _step_count(len(items), batch_size, 1)
+    epochs = opt.total_steps // steps_per_epoch
     os.makedirs(out_dir, exist_ok=True)
     metrics_path = os.path.join(out_dir, "metrics.jsonl")
 
@@ -211,30 +211,28 @@ def _fit(items: list, step_loss, params: dict[str, Tensor], rng: np.random.Gener
 
     history: list[dict] = []
     t0 = time.time()
-    if resume_epoch is not None:
-        _drop_metrics_from(metrics_path, resume_epoch * steps_per_epoch)
-    with open(metrics_path, "w" if resume_epoch is None else "a", encoding="utf-8") as metrics:
-        for epoch in range(resume_epoch or 0, epochs):
-            phase2 = phase2_epoch is not None and epoch >= phase2_epoch
-            peak = phase2_lr if phase2 and phase2_lr is not None else peak_lr
+    if opt.step > 0:
+        _drop_metrics_from(metrics_path, opt.step)
+    with open(metrics_path, "a" if opt.step > 0 else "w", encoding="utf-8") as metrics:
+        for epoch in range(opt.step // steps_per_epoch, epochs):
             order = rng.permutation(len(items))
             for i in range(steps_per_epoch):
-                step = epoch * steps_per_epoch + i
+                step = opt.step
                 chunk = [items[j] for j in order[i * batch_size:(i + 1) * batch_size]]
                 zero_grads(params)
                 with Tape():
-                    loss, fields = step_loss(chunk, phase2)
+                    loss, fields = step_loss(chunk)
                     backward(loss)
                 grad_norm = clip_gradients(params, clip_norm)
-                lr = lr_at_step(step, peak, warmup_fraction, total_steps)
+                lr = lr_at_step(step, opt.peak_lr, opt.warmup_fraction, opt.total_steps)
                 adam_step(params, {name: p.grad for name, p in params.items()}, opt, lr)
 
                 line = {"step": step, "lr": lr, **fields, "grad_norm": grad_norm,
                         "wall_time": time.time() - t0}
                 metrics.write(json.dumps(line) + "\n")
                 history.append(line)
-                if log is not None and (step % 50 == 0 or step == total_steps - 1):
-                    log(f"step {step}/{total_steps} lr={lr:.2e} loss={loss.item():.4f}")
+                if log is not None and (step % 50 == 0 or step == opt.total_steps - 1):
+                    log(f"step {step}/{opt.total_steps} lr={lr:.2e} loss={loss.item():.4f}")
             if save_epochs:
                 metrics.flush()
                 save(f"checkpoint-epoch-{epoch + 1}.ckpt", epoch + 1)
@@ -260,12 +258,12 @@ def _drop_metrics_from(path, first_step: int) -> None:
 
 def run_pretraining(bundle: DataBundle, run_cfg: RunConfig, seed: int, out_dir,
                     resume: str | None = None, log=None) -> RunResult:
-    """Two-phase pre-training over the train split.
+    """Pre-training over the train split, with the QA loss zero before the
+    first step of epoch ``round(epochs * qa_start_fraction)``.
 
-    Phase 1 runs with the QA loss forced to zero; phase 2 enables it. All
-    randomness (masking, mismatching, shuffling, dropout) is drawn from one
-    generator whose state is checkpointed, so a resumed run reproduces the
-    uninterrupted loss sequence exactly.
+    All randomness (masking, mismatching, shuffling, dropout) is drawn from
+    one generator whose state is checkpointed, so a resumed run reproduces
+    the uninterrupted loss sequence exactly.
     """
     run_cfg.validate()
     sched = run_cfg.schedule
@@ -273,12 +271,12 @@ def run_pretraining(bundle: DataBundle, run_cfg: RunConfig, seed: int, out_dir,
     if not train_records:
         raise ValueError("corpus has no train records")
     cfg, table = resolve_model_config(run_cfg.model, bundle, sched.answer_coverage)
+    total_steps = _step_count(len(train_records), sched.batch_size, sched.epochs)
 
     # what a resumed run must share with its checkpoint beyond the optimizer's schedule
-    run_extra = {"phase2_lr": sched.phase2_lr, "qa_start_fraction": sched.qa_start_fraction,
+    run_extra = {"qa_start_fraction": sched.qa_start_fraction,
                  "clip_norm": sched.clip_norm, "gate_object_tasks": sched.gate_object_tasks,
                  **asdict(run_cfg.masking)}
-    opt = resume_epoch = None
     if resume is not None:
         # checked against its own stored config, then compared with cfg field
         # by field below, so another answer table is named rather than the
@@ -295,9 +293,10 @@ def run_pretraining(bundle: DataBundle, run_cfg: RunConfig, seed: int, out_dir,
         for name, stored, given in (
                 ("peak_lr", opt.peak_lr, sched.peak_lr),
                 ("warmup_fraction", opt.warmup_fraction, sched.warmup_fraction),
-                ("total_steps", opt.total_steps,
-                 math.ceil(len(train_records) / sched.batch_size) * sched.epochs),
+                ("total_steps", opt.total_steps, total_steps),
                 ("answers", ckpt.extra.get("answers"), table.answers),
+                # older runs stored a QA-phase peak rate; only their null one resumes
+                ("phase2_lr", ckpt.extra.get("phase2_lr"), None),
                 *((key, ckpt.extra[key], value) for key, value in run_extra.items()
                   if key in ckpt.extra),
                 *((f.name, getattr(ckpt.config, f.name), getattr(cfg, f.name))
@@ -307,20 +306,22 @@ def run_pretraining(bundle: DataBundle, run_cfg: RunConfig, seed: int, out_dir,
                                  f"config and corpus give {given}; resume under the same "
                                  "schedule and corpus")
         train_rng = _restore_rng(ckpt.rng_state)
-        resume_epoch = int(ckpt.extra["epoch"])
     else:
         init_rng, train_rng = _rngs(seed)
         params = init_params(cfg, init_rng, heads=(PRETRAIN_HEADS,))
+        opt = OptimizerState.init(params, sched.peak_lr, sched.warmup_fraction, total_steps)
 
     maker = BatchMaker(train_records, bundle.store, bundle.vocab, table,
                        run_cfg.masking, cfg)
     rt = Runtime(training=True, rng=train_rng)
+    qa_start = _step_count(len(train_records), sched.batch_size,
+                           round(sched.epochs * sched.qa_start_fraction))
 
-    def step_loss(chunk, qa_enabled):
+    def step_loss(chunk):
         rows = [maker.make_row(r, train_rng) for r in chunk]
         packed = collate(CrossModalBatch(rows), bundle.vocab)
         out = forward_batch(packed, params, cfg, rt)
-        losses = pretrain_losses(packed, out, params, qa_enabled=qa_enabled,
+        losses = pretrain_losses(packed, out, params, qa_enabled=opt.step >= qa_start,
                                  gate_object_tasks=sched.gate_object_tasks)
         return losses.total, losses.floats()
 
@@ -329,13 +330,9 @@ def run_pretraining(bundle: DataBundle, run_cfg: RunConfig, seed: int, out_dir,
                           extra={"epoch": epoch, "answers": table.answers,
                                  "answer_coverage": sched.answer_coverage, **run_extra})
 
-    result = _fit(
-        train_records, step_loss, params, train_rng, out_dir, checkpoint,
-        epochs=sched.epochs, batch_size=sched.batch_size, peak_lr=sched.peak_lr,
-        warmup_fraction=sched.warmup_fraction, clip_norm=sched.clip_norm, log=log,
-        opt=opt, save_epochs=sched.checkpoint_every_epoch,
-        phase2_epoch=int(round(sched.epochs * sched.qa_start_fraction)),
-        phase2_lr=sched.phase2_lr, resume_epoch=resume_epoch)
+    result = _fit(train_records, step_loss, params, train_rng, out_dir, checkpoint, opt,
+                  batch_size=sched.batch_size, clip_norm=sched.clip_norm, log=log,
+                  save_epochs=sched.checkpoint_every_epoch)
     return replace(result, answers=table.answers)
 
 
@@ -534,7 +531,7 @@ def run_finetune_qa(ckpt: Checkpoint, bundle: DataBundle, run_cfg: RunConfig,
         params["head.qa.b"] = fresh["head.qa.b"]
     rt = Runtime(training=True, rng=train_rng)
 
-    def step_loss(chunk, _phase2):
+    def step_loss(chunk):
         packed = _qa_batch(chunk, bundle, cfg, table)
         out = forward_batch(packed, params, cfg, rt)
         loss, _ = qa_loss(out.cls, packed.answer_indices, packed.match_labels,
@@ -546,8 +543,9 @@ def run_finetune_qa(ckpt: Checkpoint, bundle: DataBundle, run_cfg: RunConfig,
         rows_train, step_loss, params, train_rng, out_dir,
         lambda _: Checkpoint(config=cfg, heads=(PRETRAIN_HEADS,), params=params,
                              extra={"answers": table.answers, "finetuned": "qa"}),
-        epochs=ft.epochs, batch_size=ft.batch_size, peak_lr=ft.lr,
-        warmup_fraction=ft.warmup_fraction, clip_norm=ft.clip_norm, log=log)
+        OptimizerState.init(params, ft.lr, ft.warmup_fraction,
+                            _step_count(len(rows_train), ft.batch_size, ft.epochs)),
+        batch_size=ft.batch_size, clip_norm=ft.clip_norm, log=log)
     return replace(result, answers=table.answers,
                    dev_accuracy=_qa_accuracy(_DevScorer(params, cfg), bundle, table)[0])
 
@@ -587,7 +585,7 @@ def run_finetune_pairwise(ckpt: Checkpoint, bundle: DataBundle, run_cfg: RunConf
     heads = tuple(dict.fromkeys(list(ckpt.heads) + [PAIRWISE_HEAD]))
     rt = Runtime(training=True, rng=train_rng)
 
-    def step_loss(chunk, _phase2):
+    def step_loss(chunk):
         cls0, cls1, labels = _pair_cls(chunk, params, cfg, bundle, rt)
         loss = pairwise_bce(pairwise_logit(cls0, cls1, params, cfg.ln_eps), labels)
         return loss, {"loss": loss.item()}
@@ -596,8 +594,9 @@ def run_finetune_pairwise(ckpt: Checkpoint, bundle: DataBundle, run_cfg: RunConf
         train_pairs, step_loss, params, train_rng, out_dir,
         lambda _: Checkpoint(config=cfg, heads=heads, params=params,
                              extra={**(ckpt.extra or {}), "finetuned": "pairwise"}),
-        epochs=ft.epochs, batch_size=ft.batch_size, peak_lr=ft.lr,
-        warmup_fraction=ft.warmup_fraction, clip_norm=ft.clip_norm, log=log)
+        OptimizerState.init(params, ft.lr, ft.warmup_fraction,
+                            _step_count(len(train_pairs), ft.batch_size, ft.epochs)),
+        batch_size=ft.batch_size, clip_norm=ft.clip_norm, log=log)
 
     hits = 0
     for chunk in _batched(dev_pairs, ft.batch_size):

@@ -440,7 +440,8 @@ def test_resume_from_finetuned_checkpoint_is_config_error(one_image_dev, tmp_pat
     ({"epochs": 2, "batch_size": 8, "peak_lr": 1e-3, "warmup_fraction": 0.1}, "warmup_fraction"),
     ({"epochs": 3, "batch_size": 8, "peak_lr": 1e-3}, "total_steps"),
     ({"epochs": 2, "batch_size": 4, "peak_lr": 1e-3}, "total_steps"),
-    ({"epochs": 2, "batch_size": 8, "peak_lr": 1e-3, "phase2_lr": 1e-2}, "phase2_lr"),
+    # a checkpoint of an older run whose QA phase had its own peak rate (see below)
+    ({"epochs": 2, "batch_size": 8, "peak_lr": 1e-3}, "phase2_lr"),
     ({"epochs": 2, "batch_size": 8, "peak_lr": 1e-3, "qa_start_fraction": 0.0},
      "qa_start_fraction"),
     ({"epochs": 2, "batch_size": 8, "peak_lr": 1e-3, "clip_norm": None}, "clip_norm"),
@@ -449,15 +450,45 @@ def test_resume_from_finetuned_checkpoint_is_config_error(one_image_dev, tmp_pat
 ])
 def test_resume_under_another_schedule_is_config_error(schedule, field, data_dir, run_dir,
                                                        tmp_path, capsys):
+    resume = run_dir / "checkpoint-epoch-1.ckpt"
+    if field == "phase2_lr":
+        ckpt = load_checkpoint(resume)
+        ckpt.extra["phase2_lr"] = 0.01
+        resume = tmp_path / "phase2.ckpt"
+        save_checkpoint(resume, ckpt)
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({"schedule": schedule}))
     out = tmp_path / "resumed"
     code = main(["pretrain", "--data", str(data_dir), "--config", str(cfg_path),
-                 "--seed", "1", "--out", str(out),
-                 "--resume", str(run_dir / "checkpoint-epoch-1.ckpt")])
+                 "--seed", "1", "--out", str(out), "--resume", str(resume)])
     assert code == 2
     assert f"was trained with {field} " in capsys.readouterr().err
     assert not os.path.exists(out / "metrics.jsonl")
+
+
+def test_resume_from_a_checkpoint_storing_a_null_phase2_lr(data_dir, run_dir, tmp_path):
+    # runs before the QA-phase peak rate went stored "phase2_lr": null
+    ckpt = load_checkpoint(run_dir / "checkpoint-epoch-1.ckpt")
+    ckpt.extra["phase2_lr"] = None
+    old = tmp_path / "old.ckpt"
+    save_checkpoint(old, ckpt)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"schedule": {"epochs": 2, "batch_size": 8, "peak_lr": 1e-3}}))
+    out = tmp_path / "resumed"
+    assert main(["pretrain", "--data", str(data_dir), "--config", str(cfg_path),
+                 "--seed", "1", "--out", str(out), "--resume", str(old)]) == 0
+    resumed = load_checkpoint(out / "checkpoint-final.ckpt").params
+    for name, p in load_checkpoint(run_dir / "checkpoint-final.ckpt").params.items():
+        assert np.array_equal(resumed[name].data, p.data), name
+
+
+def test_config_naming_phase2_lr_is_config_error(data_dir, tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"schedule": {"phase2_lr": 1e-2}}))
+    code = main(["pretrain", "--data", str(data_dir), "--config", str(cfg_path),
+                 "--seed", "1", "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert "unknown ScheduleConfig fields: ['phase2_lr']" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("section, field, value", [
@@ -483,16 +514,16 @@ def test_resume_under_another_masking_or_model_is_config_error(section, field, v
 
 def test_resume_from_a_checkpoint_without_the_run_keys_checks_only_the_rest(data_dir, run_dir,
                                                                             tmp_path):
-    # a checkpoint written before the keys were stored: another phase2_lr resumes
+    # a checkpoint written before the keys were stored: another qa_start_fraction resumes
     ckpt = load_checkpoint(run_dir / "checkpoint-epoch-1.ckpt")
-    for key in ("phase2_lr", "qa_start_fraction", "clip_norm", "gate_object_tasks",
+    for key in ("qa_start_fraction", "clip_norm", "gate_object_tasks",
                 "word_mask_prob", "object_mask_prob", "mismatch_prob"):
         del ckpt.extra[key]
     old = tmp_path / "old.ckpt"
     save_checkpoint(old, ckpt)
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({"schedule": {"epochs": 2, "batch_size": 8, "peak_lr": 1e-3,
-                                                 "phase2_lr": 1e-2}}))
+                                                 "qa_start_fraction": 0.0}}))
     out = tmp_path / "resumed"
     assert main(["pretrain", "--data", str(data_dir), "--config", str(cfg_path),
                  "--seed", "1", "--out", str(out), "--resume", str(old)]) == 0

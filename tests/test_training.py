@@ -514,18 +514,53 @@ def test_fit_step_leaves_parameters_gradients_and_moments_in_one_buffer_each(tmp
     # separately allocated arrays, as a loaded checkpoint gives
     params = {k: Tensor(p.data.copy(), requires_grad=True) for k, p in params.items()}
     opt = OptimizerState({k: np.zeros_like(p.data) for k, p in params.items()},
-                         {k: np.zeros_like(p.data) for k, p in params.items()})
+                         {k: np.zeros_like(p.data) for k, p in params.items()},
+                         peak_lr=1e-3, warmup_fraction=0.0, total_steps=1)
     rng = np.random.default_rng(0)
     cfg = make_initial_checkpoint(RunConfig(), small_bundle(), seed=0).config
-    history = _fit(train, lambda chunk, _: (step_loss(params, chunk, rng), {}), params, rng,
-                   tmp_path, lambda _: Checkpoint(cfg, (PRETRAIN_HEADS,), params),
-                   epochs=1, batch_size=len(train), peak_lr=1e-3, warmup_fraction=0.0,
-                   clip_norm=1.0, opt=opt).history
+    history = _fit(train, lambda chunk: (step_loss(params, chunk, rng), {}), params, rng,
+                   tmp_path, lambda _: Checkpoint(cfg, (PRETRAIN_HEADS,), params), opt,
+                   batch_size=len(train), clip_norm=1.0).history
     assert len(history) == 1 and history[0]["grad_norm"] > 0
     _assert_one_buffer([p.data for p in params.values()])
     _assert_one_buffer([p.grad for p in params.values()])
     _assert_one_buffer([opt.m[k] for k in params])
     _assert_one_buffer([opt.v[k] for k in params])
+
+
+def test_fit_continued_from_an_epoch_checkpoint_matches_the_uninterrupted_run(tmp_path):
+    train_rows, initial, step_loss = _pretraining_step_setup(seed=5, batch=12)
+    cfg = make_initial_checkpoint(RunConfig(), small_bundle(), seed=5).config
+
+    def fit(params, rng, opt, out_dir):
+        def loss_and_fields(chunk):
+            loss = step_loss(params, chunk, rng)
+            return loss, {"total": loss.item()}
+        return _fit(train_rows, loss_and_fields, params, rng, out_dir,
+                    lambda epoch: Checkpoint(cfg, (PRETRAIN_HEADS,), params,
+                                             extra={"epoch": epoch}),
+                    opt, batch_size=4, clip_norm=1.0, save_epochs=True)
+
+    params = {k: Tensor(p.data.copy(), requires_grad=True) for k, p in initial.items()}
+    full = fit(params, np.random.default_rng(0), OptimizerState.init(params, 1e-3, 0.1, 9),
+               tmp_path / "full")
+    # 3 epochs of 3 steps; the continuation starts after the first epoch and,
+    # like a resumed run, drops the metrics lines it writes again
+    epoch1 = load_checkpoint(tmp_path / "full" / "checkpoint-epoch-1.ckpt")
+    assert epoch1.opt_state.step == 3
+    continued_dir = tmp_path / "continued"
+    continued_dir.mkdir()
+    (continued_dir / "metrics.jsonl").write_text(open(full.metrics_path).read())
+    continued = fit(epoch1.params, train._restore_rng(epoch1.rng_state), epoch1.opt_state,
+                    continued_dir)
+    assert [line["step"] for line in continued.history] == list(range(3, 9))
+    assert strip_wall_time(continued.history) == strip_wall_time(full.history[3:])
+    assert (strip_wall_time(read_metrics(continued.metrics_path))
+            == strip_wall_time(read_metrics(full.metrics_path)))
+    for name, p in params.items():
+        assert np.array_equal(epoch1.params[name].data, p.data), name
+    with open(full.final_checkpoint, "rb") as a, open(continued.final_checkpoint, "rb") as b:
+        assert a.read() == b.read()
 
 
 def test_no_backward_rule_writes_into_its_gradient():
