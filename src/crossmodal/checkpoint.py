@@ -34,6 +34,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .config import ModelConfig
+from .data import read_exact
 from .optim import OptimizerState
 from .params import parameter_layout
 from .tensor import Tensor
@@ -92,28 +93,20 @@ def _write_tensor(fh, name: str, data: np.ndarray) -> None:
     fh.write(np.ascontiguousarray(data, dtype=_CODE_DTYPES[code]).tobytes())
 
 
-def _read_exact(fh, n: int) -> bytes:
-    raw = fh.read(n)
-    if len(raw) != n:
-        raise CheckpointFormatError("unexpected end of checkpoint file")
-    return raw
+def _read_exact(fh, n: int, size: int) -> bytes:
+    return read_exact(fh, n, size, CheckpointFormatError, "checkpoint")
 
 
 def _read_tensor(fh, size: int) -> tuple[str, np.ndarray]:
     """One tensor block from ``fh``, a file of ``size`` bytes."""
-    (name_len,) = struct.unpack("<H", _read_exact(fh, 2))
-    name = _read_exact(fh, name_len).decode("utf-8")
-    code, ndim = struct.unpack("<BB", _read_exact(fh, 2))
+    (name_len,) = struct.unpack("<H", _read_exact(fh, 2, size))
+    name = _read_exact(fh, name_len, size).decode("utf-8")
+    code, ndim = struct.unpack("<BB", _read_exact(fh, 2, size))
     if code not in _CODE_DTYPES:
         raise CheckpointFormatError(f"tensor {name!r} has unknown dtype code {code}")
-    shape = tuple(struct.unpack("<I", _read_exact(fh, 4))[0] for _ in range(ndim))
+    shape = tuple(struct.unpack("<I", _read_exact(fh, 4, size))[0] for _ in range(ndim))
     dtype = _CODE_DTYPES[code]
-    nbytes = math.prod(shape) * dtype.itemsize
-    # a corrupt extent must not become a read, or an allocation, of that many bytes
-    if nbytes > size - fh.tell():
-        raise CheckpointFormatError(f"unexpected end of checkpoint file in tensor {name!r} "
-                                    f"of shape {shape}")
-    data = np.frombuffer(_read_exact(fh, nbytes), dtype=dtype)
+    data = np.frombuffer(_read_exact(fh, math.prod(shape) * dtype.itemsize, size), dtype=dtype)
     return name, data.reshape(shape).copy()
 
 
@@ -209,15 +202,15 @@ def load_checkpoint(path) -> Checkpoint:
             magic = fh.read(4)
             if magic != MAGIC:
                 raise CheckpointFormatError(f"not a checkpoint file (magic {magic!r})")
-            (version,) = struct.unpack("<I", _read_exact(fh, 4))
+            (version,) = struct.unpack("<I", _read_exact(fh, 4, size))
             if version != VERSION:
                 raise CheckpointVersionError(
                     f"checkpoint format version {version}, this build reads {VERSION}"
                 )
-            (hdr_len,) = struct.unpack("<I", _read_exact(fh, 4))
-            header = json.loads(_read_exact(fh, hdr_len).decode("utf-8"))
-            (rng_len,) = struct.unpack("<I", _read_exact(fh, 4))
-            rng_state = json.loads(_read_exact(fh, rng_len).decode("utf-8"))
+            (hdr_len,) = struct.unpack("<I", _read_exact(fh, 4, size))
+            header = json.loads(_read_exact(fh, hdr_len, size).decode("utf-8"))
+            (rng_len,) = struct.unpack("<I", _read_exact(fh, 4, size))
+            rng_state = json.loads(_read_exact(fh, rng_len, size).decode("utf-8"))
 
             known = {f.name for f in fields(ModelConfig)}
             stored_model = {k: v for k, v in header.get("model", {}).items() if k in known}
@@ -225,18 +218,18 @@ def load_checkpoint(path) -> Checkpoint:
             heads = tuple(header.get("heads", ()))
             extra = header.get("extra", {})
 
-            (n_tensors,) = struct.unpack("<I", _read_exact(fh, 4))
+            (n_tensors,) = struct.unpack("<I", _read_exact(fh, 4, size))
             raw_params: dict[str, np.ndarray] = {}
             for _ in range(n_tensors):
                 name, data = _read_tensor(fh, size)
                 raw_params[name] = data
 
             opt_state = None
-            (opt_flag,) = struct.unpack("<B", _read_exact(fh, 1))
+            (opt_flag,) = struct.unpack("<B", _read_exact(fh, 1, size))
             if opt_flag:
-                (opt_len,) = struct.unpack("<I", _read_exact(fh, 4))
-                opt_meta = json.loads(_read_exact(fh, opt_len).decode("utf-8"))
-                (n_moments,) = struct.unpack("<I", _read_exact(fh, 4))
+                (opt_len,) = struct.unpack("<I", _read_exact(fh, 4, size))
+                opt_meta = json.loads(_read_exact(fh, opt_len, size).decode("utf-8"))
+                (n_moments,) = struct.unpack("<I", _read_exact(fh, 4, size))
                 m: dict[str, np.ndarray] = {}
                 v: dict[str, np.ndarray] = {}
                 for _ in range(n_moments):

@@ -275,14 +275,16 @@ class FeatureStoreError(ValueError):
     """A feature store file that is not one, or is truncated or corrupt."""
 
 
-def _read_exact(fh, n: int, size: int) -> bytes:
-    """``n`` bytes from ``fh``, a file of ``size`` bytes.
+def read_exact(fh, n: int, size: int, error: type[Exception] = FeatureStoreError,
+               what: str = "feature store") -> bytes:
+    """``n`` bytes from ``fh``, a ``what`` file of ``size`` bytes.
 
-    A count or extent that runs past the end of the file is rejected before
-    the read, so a corrupt one never becomes an allocation of that many bytes.
+    A length, count or extent that runs past the end of the file raises
+    ``error`` before the read, so a corrupt one never becomes an allocation
+    of that many bytes. The feature store and checkpoint readers share it.
     """
     if n > size - fh.tell():
-        raise FeatureStoreError("unexpected end of feature store file")
+        raise error(f"unexpected end of {what} file")
     return fh.read(n)
 
 
@@ -333,19 +335,19 @@ class FeatureStore:
             magic = fh.read(4)
             if magic != _STORE_MAGIC:
                 raise FeatureStoreError(f"not a feature store file (magic {magic!r})")
-            version, m, feat_dim, count = struct.unpack("<IIII", _read_exact(fh, 16, size))
+            version, m, feat_dim, count = struct.unpack("<IIII", read_exact(fh, 16, size))
             if version != _STORE_VERSION:
                 raise FeatureStoreError(f"unsupported feature store version {version}")
             store = cls(m, feat_dim)
             for _ in range(count):
-                (id_len,) = struct.unpack("<I", _read_exact(fh, 4, size))
+                (id_len,) = struct.unpack("<I", read_exact(fh, 4, size))
                 try:
-                    image_id = _read_exact(fh, id_len, size).decode("utf-8")
+                    image_id = read_exact(fh, id_len, size).decode("utf-8")
                 except UnicodeDecodeError as exc:
                     raise FeatureStoreError(f"corrupt image id: {exc}") from exc
-                feats = np.frombuffer(_read_exact(fh, 4 * m * feat_dim, size), dtype="<f4")
-                boxes = np.frombuffer(_read_exact(fh, 4 * m * 4, size), dtype="<f4")
-                labels = np.frombuffer(_read_exact(fh, 4 * m, size), dtype="<i4")
+                feats = np.frombuffer(read_exact(fh, 4 * m * feat_dim, size), dtype="<f4")
+                boxes = np.frombuffer(read_exact(fh, 4 * m * 4, size), dtype="<f4")
+                labels = np.frombuffer(read_exact(fh, 4 * m, size), dtype="<i4")
                 store.add(image_id, feats.reshape(m, feat_dim), boxes.reshape(m, 4),
                           labels.astype(np.int32))
         return store

@@ -163,12 +163,11 @@ def _clone_params(params: dict[str, Tensor]) -> dict[str, Tensor]:
 
 @dataclass
 class RunResult:
-    """What a run wrote, its metrics lines, and the caller's answer table and dev score."""
+    """What a run wrote, its metrics lines, and the caller's dev score."""
 
     final_checkpoint: str
     metrics_path: str
     history: list[dict]
-    answers: list[str] | None = None
     dev_accuracy: float | None = None
 
 
@@ -323,17 +322,18 @@ def run_pretraining(bundle: DataBundle, run_cfg: RunConfig, seed: int, out_dir,
         out = forward_batch(packed, params, cfg, rt)
         losses = pretrain_losses(packed, out, params, qa_enabled=opt.step >= qa_start,
                                  gate_object_tasks=sched.gate_object_tasks)
-        return losses.total, losses.floats()
+        return losses.total, {**losses.floats(), "mlm_count": losses.mlm_count,
+                              "obj_count": losses.obj_count, "match_count": losses.match_count,
+                              "qa_count": losses.qa_count}
 
     def checkpoint(epoch: int) -> Checkpoint:
         return Checkpoint(config=cfg, heads=(PRETRAIN_HEADS,), params=params,
                           extra={"epoch": epoch, "answers": table.answers,
                                  "answer_coverage": sched.answer_coverage, **run_extra})
 
-    result = _fit(train_records, step_loss, params, train_rng, out_dir, checkpoint, opt,
-                  batch_size=sched.batch_size, clip_norm=sched.clip_norm, log=log,
-                  save_epochs=sched.checkpoint_every_epoch)
-    return replace(result, answers=table.answers)
+    return _fit(train_records, step_loss, params, train_rng, out_dir, checkpoint, opt,
+                batch_size=sched.batch_size, clip_norm=sched.clip_norm, log=log,
+                save_epochs=sched.checkpoint_every_epoch)
 
 
 # ---------------------------------------------------------------------------
@@ -546,8 +546,7 @@ def run_finetune_qa(ckpt: Checkpoint, bundle: DataBundle, run_cfg: RunConfig,
         OptimizerState.init(params, ft.lr, ft.warmup_fraction,
                             _step_count(len(rows_train), ft.batch_size, ft.epochs)),
         batch_size=ft.batch_size, clip_norm=ft.clip_norm, log=log)
-    return replace(result, answers=table.answers,
-                   dev_accuracy=_qa_accuracy(_DevScorer(params, cfg), bundle, table)[0])
+    return replace(result, dev_accuracy=_qa_accuracy(_DevScorer(params, cfg), bundle, table)[0])
 
 
 def _pair_rows(pairs: list[PairRecord], store: FeatureStore, vocab: Vocabulary,

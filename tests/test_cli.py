@@ -4,6 +4,8 @@ import json
 import os
 import shutil
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ import pytest
 from crossmodal.checkpoint import load_checkpoint, save_checkpoint
 from crossmodal.cli import main
 from crossmodal.data import FeatureStore, load_corpus
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 @pytest.fixture(scope="module")
@@ -342,6 +346,23 @@ def test_flipped_checkpoint_byte_is_checkpoint_error(region, data_dir, run_dir, 
     code = main(["evaluate", "--data", str(data_dir), "--checkpoint", str(bad)])
     assert code == 4
     assert "error[checkpoint]" in capsys.readouterr().err
+
+
+def test_checkpoint_with_a_corrupt_header_length_is_checkpoint_error_without_allocating_it(
+        data_dir, run_dir, tmp_path):
+    # under a 1 GB address-space cap a 4 GB read would fail as MemoryError
+    raw = bytearray((run_dir / "checkpoint-final.ckpt").read_bytes())
+    struct.pack_into("<I", raw, 8, 0xFFFFFF00)
+    bad = tmp_path / "long-header.ckpt"
+    bad.write_bytes(bytes(raw))
+    code = ("import resource, sys, crossmodal.cli as c; "
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+            f"sys.exit(c.main(['evaluate', '--data', {str(data_dir)!r}, "
+            f"'--checkpoint', {str(bad)!r}]))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert done.returncode == 4, done.stderr
+    assert "error[checkpoint]: " in done.stderr and "unexpected end of checkpoint file" in done.stderr
 
 
 def test_resume_flag(data_dir, run_dir, tmp_path):

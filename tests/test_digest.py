@@ -22,6 +22,7 @@ def test_fixed_seed_digest_is_repeatable():
                  "finetune-qa-reused/checkpoint-final.ckpt", "finetune-pairwise/metrics.jsonl",
                  "finetune-pairwise-scratch/checkpoint-final.ckpt", "attention.json"):
         assert path in paths
-    # a resumed run ends where the uninterrupted one does
+    # a resumed run ends where the uninterrupted one does, also with no steps left
     final = {path: line.split("  ", 1)[0] for line, path in zip(first, paths)}
     assert final["resumed/checkpoint-final.ckpt"] == final["pretrain/checkpoint-final.ckpt"]
+    assert final["resumed-final/checkpoint-final.ckpt"] == final["pretrain/checkpoint-final.ckpt"]

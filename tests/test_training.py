@@ -80,7 +80,8 @@ def test_pretraining_smoke_and_loss_decreases(tmp_path):
     assert len(lines) == len(result.history)
     for line in lines[:5]:
         assert set(line) == {"step", "lr", "mlm", "obj_feat", "obj_label",
-                             "match", "qa", "total", "grad_norm", "wall_time"}
+                             "match", "qa", "total", "mlm_count", "obj_count",
+                             "match_count", "qa_count", "grad_norm", "wall_time"}
 
 
 def test_phase1_qa_loss_exactly_zero(tmp_path):
@@ -89,8 +90,12 @@ def test_phase1_qa_loss_exactly_zero(tmp_path):
     result = run_pretraining(bundle, cfg, seed=1, out_dir=tmp_path / "run")
     steps_per_epoch = len(result.history) // 2
     for line in result.history[:steps_per_epoch]:
-        assert line["qa"] == 0.0
+        assert line["qa"] == 0.0 and line["qa_count"] == 0
     assert any(line["qa"] > 0.0 for line in result.history[steps_per_epoch:])
+    assert any(line["qa_count"] > 0 for line in result.history[steps_per_epoch:])
+    # every row of a step is a matching target
+    rows = len(bundle.split("train"))
+    assert sum(line["match_count"] for line in result.history) == 2 * rows
 
 
 def test_phase1_leaves_qa_head_at_initialization(tmp_path):
@@ -108,7 +113,7 @@ def test_phase1_leaves_qa_head_at_initialization(tmp_path):
 
 
 PRETRAIN_FIELDS = ["step", "lr", "mlm", "obj_feat", "obj_label", "match", "qa", "total",
-                   "grad_norm", "wall_time"]
+                   "mlm_count", "obj_count", "match_count", "qa_count", "grad_norm", "wall_time"]
 FINETUNE_FIELDS = ["step", "lr", "loss", "grad_norm", "wall_time"]
 
 
@@ -295,9 +300,10 @@ def test_finetune_qa_runs_and_reports(tmp_path):
     result = run_finetune_qa(ckpt, bundle, cfg, seed=8, out_dir=tmp_path / "ft")
     assert os.path.exists(result.final_checkpoint)
     assert 0.0 <= result.dev_accuracy <= 1.0
-    assert result.answers
     loaded = load_checkpoint(result.final_checkpoint)
-    assert loaded.config.num_answers == len(result.answers)
+    answers = loaded.extra["answers"]
+    assert answers
+    assert loaded.config.num_answers == len(answers)
 
 
 def test_finetune_qa_does_not_mutate_source_checkpoint(tmp_path):

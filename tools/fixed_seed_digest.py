@@ -5,8 +5,9 @@ Usage:
     python3 tools/fixed_seed_digest.py [CHECKOUT]
 
 Runs, with CHECKOUT's ``src/`` (default: the checkout this script sits in)
-and in a temporary directory: ``gen-data``, a 2-epoch ``pretrain``, a
-``pretrain --resume`` from its epoch-1 checkpoint, ``evaluate``,
+and in a temporary directory: ``gen-data``, a 2-epoch ``pretrain``,
+``pretrain --resume`` from its epoch-1 checkpoint and from its final one
+(a resume with no steps left), ``evaluate``,
 ``finetune --task qa`` (with a fresh answer head and with
 ``--reuse-qa-head``), ``finetune --task pairwise`` (from the pre-trained
 checkpoint and ``--from-scratch``) and ``dump-attention``, each as its own
@@ -41,6 +42,7 @@ def pipeline() -> list[list[str]]:
         ["gen-data", "--out", "data", "--images", "24", "--pairs", "24", "--seed", "0"],
         pretrain + ["--out", "pretrain"],
         pretrain + ["--out", "resumed", "--resume", "pretrain/checkpoint-epoch-1.ckpt"],
+        pretrain + ["--out", "resumed-final", "--resume", "pretrain/checkpoint-final.ckpt"],
         ["evaluate", "--data", "data", "--checkpoint", "pretrain/checkpoint-final.ckpt",
          "--seed", "3", "--out", "evaluate.json"],
         pretrained + ["--task", "qa", "--out", "finetune-qa"],
