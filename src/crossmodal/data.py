@@ -389,12 +389,28 @@ def plain_row(image_id: str, sentence: str, store: FeatureStore, vocab: Vocabula
                     np.zeros(store.m, dtype=bool), True, answer_index, is_question)
 
 
+def _sentences_by_image(records) -> dict[str, set[str]]:
+    own: dict[str, set[str]] = {}
+    for r in records:
+        own.setdefault(r.image_id, set()).add(r.sentence)
+    return own
+
+
+def can_mismatch(records) -> bool:
+    """Whether each image of ``records`` (two or more) lacks some sentence of
+    another, which its mismatched rows can carry."""
+    own = _sentences_by_image(records)
+    everything = set().union(*own.values())
+    return len(own) >= 2 and all(len(s) < len(everything) for s in own.values())
+
+
 class BatchMaker:
     """Applies the masking and matching policies to corpus records.
 
     Mismatched rows keep the original image but carry a sentence drawn from
-    a different image. Only non-special tokens are eligible for masking;
-    masked slots resolve 80/10/10 to [MASK] / random word / unchanged.
+    another image, never one the row's image also has. Only non-special
+    tokens are eligible for masking; masked slots resolve 80/10/10 to
+    [MASK] / random word / unchanged.
     Object masking only sets flags: ``roi_features`` keep the unmasked
     features, which are the regression target, and the object embedder
     zeroes the flagged ones.
@@ -408,16 +424,17 @@ class BatchMaker:
         self.answer_table = answer_table
         self.masking = masking.validate()
         self.model = model
-        distinct_images = {r.image_id for r in self.records}
-        if self.masking.mismatch_prob > 0 and len(distinct_images) < 2:
-            raise ValueError(
-                "mismatch sampling needs at least 2 distinct images in the corpus"
-            )
+        self._sentences = _sentences_by_image(self.records)
+        if self.masking.mismatch_prob > 0 and not can_mismatch(self.records):
+            raise ValueError("mismatch sampling needs at least 2 distinct images, each "
+                             "lacking some sentence of the corpus")
 
     def _draw_replacement(self, image_id: str, rng: np.random.Generator) -> CorpusRecord:
+        # a sentence the image lacks always belongs to another image
+        own = self._sentences.get(image_id, set())
         while True:
             other = self.records[rng.integers(0, len(self.records))]
-            if other.image_id != image_id:
+            if other.sentence not in own:
                 return other
 
     def make_row(self, record: CorpusRecord, rng: np.random.Generator) -> BatchRow:

@@ -40,6 +40,7 @@ from .data import (
     PairRecord,
     Vocabulary,
     build_answer_table,
+    can_mismatch,
     collate,
     load_corpus,
     load_pairs,
@@ -455,10 +456,11 @@ def evaluate_checkpoint(ckpt: Checkpoint, bundle: DataBundle, seed: int) -> dict
 
     The matching pass mismatches half the rows and masks nothing; the
     masked-label pass masks 15% of the objects and scores only the rows
-    with a masked object. The matching pass needs at least two distinct
-    images to draw mismatched rows from; on a split with fewer it is
-    skipped (``match_n`` 0, ``match_accuracy`` NaN) and the other two
-    passes still run. All three passes share one ``_DevScorer``.
+    with a masked object. The matching pass needs, for every image, a
+    sentence of another image that it lacks (``data.can_mismatch``); on a
+    split without one, such as a one-image split, it is skipped
+    (``match_n`` 0, ``match_accuracy`` NaN) and the other two passes still
+    run. All three passes share one ``_DevScorer``.
     """
     cfg = ckpt.config
     _check_data(cfg, bundle)
@@ -479,7 +481,7 @@ def evaluate_checkpoint(ckpt: Checkpoint, bundle: DataBundle, seed: int) -> dict
                 yield list(image_ids), collate(CrossModalBatch(list(rows)), bundle.vocab)
 
     match_hits = match_total = 0
-    if len({r.image_id for r in dev}) >= 2:
+    if can_mismatch(dev):
         match_hits, match_total = _accuracy(
             scorer,
             batches(MaskingConfig(word_mask_prob=0.0, object_mask_prob=0.0, mismatch_prob=0.5)),

@@ -583,6 +583,39 @@ def test_single_image_corpus_cannot_mismatch():
                MaskingConfig(mismatch_prob=0.0), cfg)
 
 
+_POOL = ["a red cube", "a blue ball", "two green cones", "one small box", "a big red ball"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(sentences=st.lists(st.sets(st.sampled_from(_POOL), min_size=1), min_size=1, max_size=5),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(sentences=[set(_POOL[:2]), {_POOL[0]}], seed=0)  # one image has every sentence
+@example(sentences=[set(_POOL[:2]), set(_POOL[:2])], seed=0)  # two images, the same sentences
+def test_a_mismatched_row_never_carries_a_sentence_of_its_own_image(sentences, seed):
+    store = FeatureStore(m=2, feat_dim=3)
+    records = []
+    for i, own in enumerate(sentences):
+        store.add(f"img{i}", np.zeros((2, 3)), np.zeros((2, 4)), np.zeros(2))
+        records += [CorpusRecord(f"img{i}", sentence, is_question=False)
+                    for sentence in sorted(own)]
+    vocab = Vocabulary.from_records(records)
+    cfg = ModelConfig(vocab_size=len(vocab), num_labels=2, objects_per_image=2, feat_dim=3)
+    masking = MaskingConfig(word_mask_prob=0.0, object_mask_prob=0.0, mismatch_prob=1.0)
+    corpus = set().union(*sentences)
+    if len(sentences) < 2 or any(own == corpus for own in sentences):
+        with pytest.raises(ValueError, match="distinct images"):
+            BatchMaker(records, store, vocab, AnswerTable([]), masking, cfg)
+        return
+    maker = BatchMaker(records, store, vocab, AnswerTable([]), masking, cfg)
+    rng = np.random.default_rng(seed)
+    for record in records * 5:
+        own = {tokenize(t, vocab, cfg.max_sentence_len).tobytes()
+               for t in sentences[int(record.image_id[3:])]}
+        row = maker.make_row(record, rng)
+        assert not row.match_label
+        assert row.token_ids.tobytes() not in own
+
+
 @pytest.fixture(scope="module")
 def seeded_maker():
     return _maker()
