@@ -184,8 +184,8 @@ def _fit(items: list, step_loss, params: dict[str, Tensor], rng: np.random.Gener
 
     ``opt`` is the run's Adam state: a fresh one (``OptimizerState.init``)
     or a resumed one. The run takes steps ``opt.step`` to ``opt.total_steps``,
-    each at ``lr_at_step`` of ``opt``'s schedule; ``opt.step`` is a whole
-    number of epochs. When ``opt.step > 0`` it appends to the metrics file,
+    each at ``lr_at_step`` of ``opt``'s schedule; both must be whole epochs,
+    or it raises ``ValueError`` before writing anything. When ``opt.step > 0`` it appends to the metrics file,
     after dropping the lines a crashed run wrote from that step on. Each
     epoch draws one permutation of ``items`` from ``rng``. Each step calls
     ``step_loss(chunk)`` under a tape; it returns the scalar loss and the
@@ -199,7 +199,10 @@ def _fit(items: list, step_loss, params: dict[str, Tensor], rng: np.random.Gener
     ``checkpoint-final`` after the last epoch.
     """
     steps_per_epoch = _step_count(len(items), batch_size, 1)
-    epochs = opt.total_steps // steps_per_epoch
+    epochs, rest = divmod(opt.total_steps, steps_per_epoch)
+    if rest or opt.step % steps_per_epoch:
+        raise ValueError(f"the Adam state's step {opt.step} of {opt.total_steps} is not a whole "
+                         f"epoch of {steps_per_epoch} steps; resume under the same batch size")
     os.makedirs(out_dir, exist_ok=True)
     metrics_path = os.path.join(out_dir, "metrics.jsonl")
 

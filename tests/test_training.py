@@ -595,6 +595,18 @@ def test_no_backward_rule_writes_into_its_gradient():
         assert np.array_equal(grads[0][k], grads[1][k]), k
 
 
+def test_resume_under_another_batch_size_with_the_same_step_count_is_refused(tmp_path):
+    bundle = small_bundle()
+    n = len(bundle.split("train"))
+    run_pretraining(bundle, tiny_run_cfg(epochs=2, batch=n), seed=6, out_dir=tmp_path / "run")
+    # one epoch of two steps: the same total, but the checkpoint's step 1 is half an epoch
+    with pytest.raises(ValueError, match="not a whole epoch"):
+        run_pretraining(bundle, tiny_run_cfg(epochs=1, batch=(n + 1) // 2), seed=6,
+                        out_dir=tmp_path / "resumed",
+                        resume=str(tmp_path / "run" / "checkpoint-epoch-1.ckpt"))
+    assert not os.path.exists(tmp_path / "resumed")
+
+
 def test_resume_after_a_crash_writes_each_step_once(tmp_path):
     bundle = small_bundle()
     full = run_pretraining(bundle, tiny_run_cfg(epochs=2), seed=6, out_dir=tmp_path / "full")
