@@ -33,6 +33,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from .atomic import atomic_open
 from .config import ModelConfig
 from .data import read_exact
 from .optim import OptimizerState
@@ -111,22 +112,9 @@ def _read_tensor(fh, size: int) -> tuple[str, np.ndarray]:
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    """Write ``ckpt`` to a temporary file beside ``path``, then move it into place.
-
-    A write that fails part way leaves the file at ``path`` as it was and
-    removes the temporary file. (There is no fsync: this guards against the
-    process failing, not the machine.)
-    """
-    path = os.fspath(path)
-    tmp = f"{path}.tmp{os.getpid()}"
-    try:
-        with open(tmp, "wb") as fh:
-            _write_checkpoint(fh, ckpt)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    """Write ``ckpt`` to ``path`` atomically (``atomic.atomic_open``)."""
+    with atomic_open(path, "wb") as fh:
+        _write_checkpoint(fh, ckpt)
 
 
 def _write_checkpoint(fh, ckpt: Checkpoint) -> None:

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
+from .atomic import atomic_open
 from .checkpoint import CheckpointError, load_checkpoint
 from .config import RunConfig, load_run_config, save_run_config
 from .data import (
@@ -67,7 +69,7 @@ def cmd_gen_data(args) -> int:
     store.save(os.path.join(args.out, FEATURES_FILE))
     vocab = Vocabulary.from_records([r for r in records if r.split == "train"])
     vocab.save(os.path.join(args.out, VOCAB_FILE))
-    with open(os.path.join(args.out, LABELS_FILE), "w", encoding="utf-8") as fh:
+    with atomic_open(os.path.join(args.out, LABELS_FILE)) as fh:
         json.dump({"labels": list(labels)}, fh)
         fh.write("\n")
     if args.pairs > 0:
@@ -125,10 +127,12 @@ def cmd_evaluate(args) -> int:
     bundle = load_data_dir(args.data)
     ckpt = load_checkpoint(args.checkpoint)
     metrics = evaluate_checkpoint(ckpt, bundle, seed=args.seed)
-    text = json.dumps(metrics, indent=2, sort_keys=True)
+    # strict JSON: an accuracy with nothing to score is null, not NaN
+    text = json.dumps({k: None if math.isnan(v) else v for k, v in metrics.items()},
+                      indent=2, sort_keys=True, allow_nan=False)
     print(text)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with atomic_open(args.out) as fh:
             fh.write(text + "\n")
     return EXIT_OK
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, fields
 
+from .atomic import atomic_open
+
 
 @dataclass
 class ModelConfig:
@@ -211,6 +213,6 @@ def load_run_config(path) -> RunConfig:
 
 
 def save_run_config(cfg: RunConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")

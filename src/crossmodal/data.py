@@ -30,6 +30,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .atomic import atomic_open
 from .config import MaskingConfig, ModelConfig
 
 PAD, UNK, CLS, SEP, MASK = "[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]"
@@ -79,7 +80,7 @@ class Vocabulary:
         return cls([w for w, _ in ranked])
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path) as fh:
             json.dump({"tokens": self.tokens[self.n_special:]}, fh)
             fh.write("\n")
 
@@ -171,7 +172,7 @@ def load_string_list(path, key: str, make=list):
 
 def _save_jsonl(rows, path) -> None:
     """One JSON object per line, in order."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for row in rows:
             fh.write(json.dumps(row))
             fh.write("\n")
@@ -317,7 +318,7 @@ class FeatureStore:
             raise KeyError(f"image id {image_id!r} not in feature store") from None
 
     def save(self, path) -> None:
-        with open(path, "wb") as fh:
+        with atomic_open(path, "wb") as fh:
             fh.write(_STORE_MAGIC)
             fh.write(struct.pack("<IIII", _STORE_VERSION, self.m, self.feat_dim, len(self._images)))
             for image_id, (feats, boxes, labels) in self._images.items():

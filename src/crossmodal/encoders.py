@@ -12,6 +12,14 @@ layers) and ``cross_stack`` (the ``cross.*`` layers and the [CLS] row).
 The first two are single-modality, so a sentence's or an image's states do
 not depend on the other modality, and evaluation encodes each once.
 ``forward_batch`` runs the three in that order on one packed batch.
+
+The heads read two things from the cross stack: matching, QA and the
+pairwise head read the language stream's [CLS] row, and the masked-object
+heads read the object stream. In eval mode ``cross_stack`` can be asked
+for one of them alone; its last layer then runs only that stream, and for
+the [CLS] row only that query row after the cross-attention sub-layer.
+Training always runs whole layers, since a skipped sub-layer would skip
+its dropout draw and move every later draw of the run's generator.
 """
 
 from __future__ import annotations
@@ -47,9 +55,9 @@ class AttentionRecord:
 
 @dataclass
 class ModelOutputs:
-    lang: Tensor          # (B, n, d)
-    vis: Tensor           # (B, m, d)
-    cls: Tensor           # (B, d), language row at the [CLS] position
+    lang: Tensor | None   # (B, n, d); None when cross_stack was asked for objects or [CLS]
+    vis: Tensor | None    # (B, m, d); None when cross_stack was asked for [CLS]
+    cls: Tensor | None    # (B, d), language row at the [CLS] position; None when asked for objects
     attention: list[AttentionRecord] = field(default_factory=list)
 
 
@@ -147,6 +155,33 @@ def cross_modality_layer(
     return lang_out, vis_out, weights
 
 
+# the sub-layers of each stream of a cross-modality layer, and its attention directions
+_STREAMS = {
+    "cls": (("l2r", "self_l", "ff_l"), ("cross-L->R", "self-L")),
+    "vis": (("r2l", "self_r", "ff_r"), ("cross-R->L", "self-R")),
+}
+
+
+def _cross_stream(x: Tensor, other: Tensor, x_mask: np.ndarray | None,
+                  other_mask: np.ndarray | None, params: dict[str, Tensor], prefix: str,
+                  cfg: ModelConfig, keep: str) -> tuple[Tensor, list[tuple[str, np.ndarray]]]:
+    """One stream of an eval-mode cross-modality layer: the language stream's
+    [CLS] row (``keep`` "cls", (B, 1, d)) or the object stream ("vis", (B, m, d)).
+
+    Cross-attention and its residual run for every row of ``x``, since they
+    are the self-attention's context; self-attention, its residual and the
+    feed-forward sub-layer then run for the kept query rows only.
+    """
+    (cross, self_, ff), directions = _STREAMS[keep]
+    att, w_cross = multi_head_attention(x, other, other_mask, params, f"{prefix}.{cross}", cfg, EVAL)
+    x = _attention_out(x, att, params, f"{prefix}.{cross}", cfg, EVAL)
+    query = x[:, :1] if keep == "cls" else x
+    att, w_self = multi_head_attention(query, x, x_mask, params, f"{prefix}.{self_}", cfg, EVAL)
+    y = _attention_out(query, att, params, f"{prefix}.{self_}", cfg, EVAL)
+    out = _feed_forward(y, params, f"{prefix}.{ff}", cfg, EVAL)
+    return out, list(zip(directions, (w_cross, w_self)))
+
+
 def language_stack(token_ids: np.ndarray, token_mask: np.ndarray, params: dict[str, Tensor],
                    cfg: ModelConfig, rt: Runtime = EVAL
                    ) -> tuple[Tensor, list[AttentionRecord]]:
@@ -172,14 +207,35 @@ def object_stack(roi_features: np.ndarray, boxes: np.ndarray, obj_mask_flags: np
 
 
 def cross_stack(lang: Tensor, vis: Tensor, token_mask: np.ndarray, obj_real: np.ndarray,
-                params: dict[str, Tensor], cfg: ModelConfig, rt: Runtime = EVAL) -> ModelOutputs:
-    """The ``cross.*`` layers on the two single-modality stacks' states, and the [CLS] row."""
+                params: dict[str, Tensor], cfg: ModelConfig, rt: Runtime = EVAL,
+                keep: str = "all") -> ModelOutputs:
+    """The ``cross.*`` layers on the two single-modality stacks' states, and the [CLS] row.
+
+    ``keep`` "all" runs every layer whole. In eval mode, "cls" returns only
+    ``cls`` and "vis" only ``vis``: every layer but the last runs whole,
+    and the last runs only what its kept output reads (``_cross_stream``).
+    Asking for less in training mode raises ``ValueError``.
+    """
+    if keep not in ("all", *_STREAMS):
+        raise ValueError(f"cross_stack keeps 'all', 'cls' or 'vis', not {keep!r}")
+    if keep != "all" and rt.training:
+        raise ValueError("a training pass runs whole cross-modality layers: a skipped "
+                         "sub-layer would skip its dropout draw")
+    whole = cfg.n_cross_layers - (keep != "all")
     records = []
-    for k in range(cfg.n_cross_layers):
+    for k in range(whole):
         lang, vis, group = cross_modality_layer(
             lang, vis, token_mask, obj_real, params, f"cross.{k}", cfg, rt)
         records.extend(AttentionRecord("cross", k, name, w) for name, w in group)
-    return ModelOutputs(lang=lang, vis=vis, cls=lang[:, 0, :], attention=records)
+    if keep == "all":
+        return ModelOutputs(lang=lang, vis=vis, cls=lang[:, 0, :], attention=records)
+    x, other, masks = (lang, vis, (token_mask, obj_real)) if keep == "cls" else (
+        vis, lang, (obj_real, token_mask))
+    out, group = _cross_stream(x, other, *masks, params, f"cross.{whole}", cfg, keep)
+    records.extend(AttentionRecord("cross", whole, name, w) for name, w in group)
+    if keep == "cls":
+        return ModelOutputs(lang=None, vis=None, cls=out[:, 0, :], attention=records)
+    return ModelOutputs(lang=None, vis=out, cls=None, attention=records)
 
 
 def forward_batch(packed: PackedBatch, params: dict[str, Tensor], cfg: ModelConfig,

@@ -25,6 +25,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
+from .atomic import atomic_open
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import ModelConfig, RunConfig
 from .data import (
@@ -48,8 +49,6 @@ from .data import (
     plain_row,
 )
 from .encoders import (
-    EVAL,
-    ModelOutputs,
     Runtime,
     cross_stack,
     forward_batch,
@@ -253,10 +252,8 @@ def _drop_metrics_from(path, first_step: int) -> None:
     with open(path, "r", encoding="utf-8") as fh:
         kept = [line for line in fh
                 if line.endswith("\n") and json.loads(line)["step"] < first_step]
-    tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.writelines(kept)
-    os.replace(tmp, path)
 
 
 def run_pretraining(bundle: DataBundle, run_cfg: RunConfig, seed: int, out_dir,
@@ -368,78 +365,113 @@ def _qa_batch(questions: list[CorpusRecord], bundle: DataBundle, cfg: ModelConfi
     return collate(CrossModalBatch(rows), bundle.vocab)
 
 
-class _DevScorer:
-    """Eval-mode forward passes of one evaluation, encoding each sentence and image once.
+def _cached(cache: dict, keys: list, rows, run) -> list:
+    """``cache[keys[i]]`` for each batch row ``i`` in ``rows``.
 
-    A sentence's language-stack states depend on its token ids alone and an
-    image's object-stack states on its objects alone, so each distinct token
-    sequence, and each image's unmasked objects, is encoded by the first
-    batch that holds it and kept until the scorer is dropped. Every batch
-    then runs only the cross stack. A row with masked objects has its
-    objects encoded afresh.
+    Keys not yet in ``cache`` are filled first by one call ``run(fresh)``,
+    where ``fresh`` holds one batch row per such key, so a key that repeats
+    in the batch runs once; it returns one value per row of ``fresh``.
+    """
+    fresh = list({keys[i]: i for i in rows if keys[i] not in cache}.values())
+    if fresh:
+        cache.update(zip((keys[i] for i in fresh), run(fresh)))
+    return [cache[keys[i]] for i in rows]
+
+
+class _DevScorer:
+    """Eval-mode forward passes of one evaluation, running each stage once per input.
+
+    A sentence's language-stack states depend on its token ids alone, and
+    an image's object-stack states on its objects and their mask flags
+    alone, so each distinct token sequence and each distinct (image id,
+    mask flags) is encoded by the first batch that holds it. A row's final
+    [CLS] vector depends on both, so it is kept under the pair of keys;
+    a batch runs the cross stack only for the rows whose pair it has not
+    seen, once per pair. The cross stack runs only the last layer's
+    sub-layers that the asked-for output reads (``encoders.cross_stack``).
+    Everything is kept until the scorer is dropped: at most rows × longest
+    sentence × d language values, rows × m × d object values and rows × d
+    [CLS] values, in float32.
     """
 
     def __init__(self, params: dict[str, Tensor], cfg: ModelConfig):
         self.params = params
         self.cfg = cfg
-        self.lang: dict[bytes, np.ndarray] = {}  # token ids -> (n, d) states
-        self.vis: dict[str, np.ndarray] = {}     # image id -> (m, d) unmasked states
+        self.lang: dict[bytes, np.ndarray] = {}               # token ids -> (n, d)
+        self.vis: dict[tuple[str, bytes], np.ndarray] = {}    # (image id, mask flags) -> (m, d)
+        self.cls: dict[tuple, np.ndarray] = {}                # (both keys) -> (d,)
 
-    def forward(self, image_ids: list[str], packed: PackedBatch) -> ModelOutputs:
-        """``forward_batch(packed)`` in eval mode, up to float32 rounding, for rows
-        showing ``image_ids``."""
+    def cls_rows(self, image_ids: list[str], packed: PackedBatch) -> Tensor:
+        """``forward_batch(packed).cls`` in eval mode, up to float32 rounding, for
+        rows showing ``image_ids``."""
+        tokens, objects = self._keys(image_ids, packed)
+
+        def run(rows):
+            return cross_stack(*self._inputs(packed, tokens, objects, rows), self.params,
+                               self.cfg, keep="cls").cls.data
+
+        keys = list(zip(tokens, objects))
+        return Tensor(np.stack(_cached(self.cls, keys, range(len(keys)), run)))
+
+    def object_rows(self, image_ids: list[str], packed: PackedBatch) -> Tensor:
+        """``forward_batch(packed).vis`` in eval mode, up to float32 rounding."""
+        tokens, objects = self._keys(image_ids, packed)
+        return cross_stack(*self._inputs(packed, tokens, objects, range(len(tokens))),
+                           self.params, self.cfg, keep="vis").vis
+
+    @staticmethod
+    def _keys(image_ids, packed: PackedBatch) -> tuple[list, list]:
+        """Each row's sentence key (its token ids) and object key (image id, mask flags)."""
+        lengths = packed.token_mask.sum(axis=1)
+        return ([ids[:k].tobytes() for ids, k in zip(packed.token_ids, lengths)],
+                [(i, flags.tobytes()) for i, flags in zip(image_ids, packed.obj_mask_flags)])
+
+    def _inputs(self, packed: PackedBatch, tokens, objects, rows) -> tuple:
+        """The cross stack's inputs for the batch rows ``rows``: language and object
+        states, token mask and object mask, padded to the rows' longest sentence."""
         params, cfg = self.params, self.cfg
         lengths = packed.token_mask.sum(axis=1)
-        keys = [ids[:k].tobytes() for ids, k in zip(packed.token_ids, lengths)]
-        fresh = list({key: i for i, key in enumerate(keys) if key not in self.lang}.values())
-        if fresh:
+
+        def sentences(fresh):
             n = lengths[fresh].max()
             states, _ = language_stack(packed.token_ids[fresh, :n], packed.token_mask[fresh, :n],
                                        params, cfg)
-            self.lang.update((keys[i], row[:lengths[i]]) for i, row in zip(fresh, states.data))
+            return [row[:lengths[i]] for i, row in zip(fresh, states.data)]
+
+        def images(fresh):
+            states, _ = object_stack(packed.roi_features[fresh], packed.boxes[fresh],
+                                     packed.obj_mask_flags[fresh], packed.obj_real[fresh],
+                                     params, cfg)
+            return states.data
+
+        rows = list(rows)
+        lang_states = _cached(self.lang, tokens, rows, sentences)
+        n = max(len(s) for s in lang_states)
         # padded positions stay zero: the cross stack masks them as context
-        lang = np.zeros(packed.token_ids.shape + (cfg.hidden_size,), self.lang[keys[0]].dtype)
-        for row, key in zip(lang, keys):
-            row[:len(self.lang[key])] = self.lang[key]
-
-        masked = packed.obj_mask_flags.any(axis=1)
-        fresh = list({image_ids[i]: i for i in np.flatnonzero(~masked)
-                      if image_ids[i] not in self.vis}.values())
-        if fresh:
-            self.vis.update(zip((image_ids[i] for i in fresh), self._objects(packed, fresh)))
-        vis = np.empty(packed.obj_mask_flags.shape + (cfg.hidden_size,), lang.dtype)
-        for i in np.flatnonzero(~masked):
-            vis[i] = self.vis[image_ids[i]]
-        if masked.any():
-            vis[masked] = self._objects(packed, masked)
-        return cross_stack(Tensor(lang), Tensor(vis), packed.token_mask, packed.obj_real,
-                           params, cfg)
-
-    def _objects(self, packed: PackedBatch, rows) -> np.ndarray:
-        """Object-stack states of the batch rows ``rows`` (indices or a row mask)."""
-        states, _ = object_stack(packed.roi_features[rows], packed.boxes[rows],
-                                 packed.obj_mask_flags[rows], packed.obj_real[rows],
-                                 self.params, self.cfg)
-        return states.data
+        lang = np.zeros((len(rows), n, cfg.hidden_size), lang_states[0].dtype)
+        for row, states in zip(lang, lang_states):
+            row[:len(states)] = states
+        vis = np.stack(_cached(self.vis, objects, rows, images))
+        return Tensor(lang), Tensor(vis), packed.token_mask[rows, :n], packed.obj_real[rows]
 
 
-def _accuracy(scorer: _DevScorer, batches, head: str, pick) -> tuple[int, int]:
+def _accuracy(params: dict[str, Tensor], batches, head: str, pick) -> tuple[int, int]:
     """Argmax hits of ``head`` over ``batches`` of (image ids, packed batch), and the
     number scored.
 
-    ``pick(packed, outputs)`` returns the head's input rows for a batch and
+    ``pick(image_ids, packed)`` returns the head's input rows for a batch and
     their true classes.
     """
     hits = total = 0
     for image_ids, packed in batches:
-        x, truth = pick(packed, scorer.forward(image_ids, packed))
-        hits += int((head_logits(x, scorer.params, head).data.argmax(axis=1) == truth).sum())
+        x, truth = pick(image_ids, packed)
+        hits += int((head_logits(x, params, head).data.argmax(axis=1) == truth).sum())
         total += len(truth)
     return hits, total
 
 
-def _masked_labels(packed: PackedBatch, out) -> tuple[Tensor, np.ndarray]:
-    rows, picked = masked_object_rows(out.vis, packed.obj_mask_flags)
+def _masked_labels(vis: Tensor, packed: PackedBatch) -> tuple[Tensor, np.ndarray]:
+    rows, picked = masked_object_rows(vis, packed.obj_mask_flags)
     return rows, packed.detected_labels.reshape(-1)[picked]
 
 
@@ -449,8 +481,8 @@ def _qa_accuracy(scorer: _DevScorer, bundle: DataBundle, table: AnswerTable) -> 
                  if r.is_question and table.lookup(r.answer) != OUT_OF_TABLE]
     batches = (([r.image_id for r in chunk], _qa_batch(chunk, bundle, scorer.cfg, table))
                for chunk in _batched(questions, _EVAL_BATCH))
-    hits, total = _accuracy(scorer, batches, "head.qa",
-                            lambda packed, out: (out.cls, packed.answer_indices))
+    hits, total = _accuracy(scorer.params, batches, "head.qa", lambda image_ids, packed: (
+        scorer.cls_rows(image_ids, packed), packed.answer_indices))
     return _ratio(hits, total), total
 
 
@@ -486,15 +518,17 @@ def evaluate_checkpoint(ckpt: Checkpoint, bundle: DataBundle, seed: int) -> dict
     match_hits = match_total = 0
     if can_mismatch(dev):
         match_hits, match_total = _accuracy(
-            scorer,
+            ckpt.params,
             batches(MaskingConfig(word_mask_prob=0.0, object_mask_prob=0.0, mismatch_prob=0.5)),
-            "head.match", lambda packed, out: (out.cls, packed.match_labels))
+            "head.match", lambda image_ids, packed: (scorer.cls_rows(image_ids, packed),
+                                                     packed.match_labels))
     # a row with no masked object holds no label target, so it is not run
     label_hits, label_total = _accuracy(
-        scorer,
+        ckpt.params,
         batches(MaskingConfig(word_mask_prob=0.0, mismatch_prob=0.0, object_mask_prob=0.15),
                 keep=lambda row: row.obj_mask_flags.any()),
-        "head.obj_label", _masked_labels)
+        "head.obj_label", lambda image_ids, packed: _masked_labels(
+            scorer.object_rows(image_ids, packed), packed))
     qa_accuracy, qa_total = _qa_accuracy(scorer, bundle, table)
     return {
         "match_accuracy": _ratio(match_hits, match_total),
@@ -561,13 +595,16 @@ def _pair_rows(pairs: list[PairRecord], store: FeatureStore, vocab: Vocabulary,
     return rows0, rows1, np.array([int(p.label) for p in pairs], dtype=np.int64)
 
 
-def _pair_cls(pairs: list[PairRecord], params: dict[str, Tensor], cfg: ModelConfig,
-              bundle: DataBundle, rt: Runtime = EVAL):
-    """Both images' [CLS] vectors for each pair, and the pair labels."""
+def _pair_cls(pairs: list[PairRecord], bundle: DataBundle, cfg: ModelConfig, cls_of):
+    """Both images' [CLS] vectors for each pair, and the pair labels.
+
+    ``cls_of(image_ids, packed)`` gives a packed batch's [CLS] rows; it runs
+    on the first images' batch, then on the second images'.
+    """
     rows0, rows1, labels = _pair_rows(pairs, bundle.store, bundle.vocab, cfg)
-    out0 = forward_batch(collate(CrossModalBatch(rows0), bundle.vocab), params, cfg, rt)
-    out1 = forward_batch(collate(CrossModalBatch(rows1), bundle.vocab), params, cfg, rt)
-    return out0.cls, out1.cls, labels
+    cls0 = cls_of([p.image_id_0 for p in pairs], collate(CrossModalBatch(rows0), bundle.vocab))
+    cls1 = cls_of([p.image_id_1 for p in pairs], collate(CrossModalBatch(rows1), bundle.vocab))
+    return cls0, cls1, labels
 
 
 def run_finetune_pairwise(ckpt: Checkpoint, bundle: DataBundle, run_cfg: RunConfig,
@@ -590,7 +627,8 @@ def run_finetune_pairwise(ckpt: Checkpoint, bundle: DataBundle, run_cfg: RunConf
     rt = Runtime(training=True, rng=train_rng)
 
     def step_loss(chunk):
-        cls0, cls1, labels = _pair_cls(chunk, params, cfg, bundle, rt)
+        cls0, cls1, labels = _pair_cls(
+            chunk, bundle, cfg, lambda _, packed: forward_batch(packed, params, cfg, rt).cls)
         loss = pairwise_bce(pairwise_logit(cls0, cls1, params, cfg.ln_eps), labels)
         return loss, {"loss": loss.item()}
 
@@ -603,8 +641,9 @@ def run_finetune_pairwise(ckpt: Checkpoint, bundle: DataBundle, run_cfg: RunConf
         batch_size=ft.batch_size, clip_norm=ft.clip_norm, log=log)
 
     hits = 0
+    scorer = _DevScorer(params, cfg)
     for chunk in _batched(dev_pairs, ft.batch_size):
-        cls0, cls1, labels = _pair_cls(chunk, params, cfg, bundle)
+        cls0, cls1, labels = _pair_cls(chunk, bundle, cfg, scorer.cls_rows)
         prob = pairwise_forward(cls0, cls1, params, cfg.ln_eps).data
         hits += int(((prob > 0.5).astype(int) == labels).sum())
     return replace(result, dev_accuracy=_ratio(hits, len(dev_pairs)))
@@ -664,7 +703,7 @@ def dump_attention(ckpt: Checkpoint, bundle: DataBundle, index: int, out_path) -
         "objects": object_labels,
         "groups": groups,
     }
-    with open(out_path, "w", encoding="utf-8") as fh:
+    with atomic_open(out_path) as fh:
         json.dump(dump, fh, indent=1)
         fh.write("\n")
     return dump

@@ -17,6 +17,11 @@ from crossmodal.data import FeatureStore, load_corpus
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
+def _reject_constant(name):
+    """``json.loads``'s ``parse_constant`` for strict JSON: NaN and Infinity are errors."""
+    raise ValueError(f"not strict JSON: {name}")
+
+
 @pytest.fixture(scope="module")
 def data_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("data")
@@ -433,9 +438,9 @@ def test_evaluate_skips_matching_on_one_image_dev_split(one_image_dev, capsys):
     code = main(["evaluate", "--data", str(data),
                  "--checkpoint", str(run / "checkpoint-final.ckpt")])
     assert code == 0
-    printed = json.loads(capsys.readouterr().out)
+    printed = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
     assert printed["match_n"] == 0
-    assert np.isnan(printed["match_accuracy"])
+    assert printed["match_accuracy"] is None
     assert printed["masked_label_n"] > 0
     assert printed["qa_n"] > 0
 

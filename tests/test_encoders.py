@@ -4,17 +4,30 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from crossmodal.config import ModelConfig, full_scale_model
+from crossmodal.config import MaskingConfig, ModelConfig, full_scale_model
+from crossmodal.data import (
+    DEFAULT_LABELS,
+    BatchMaker,
+    Vocabulary,
+    build_answer_table,
+    can_mismatch,
+    collate,
+    generate_synthetic_corpus,
+)
 from crossmodal.encoders import (
     Runtime,
     cross_modality_layer,
+    cross_stack,
     forward_batch,
+    language_stack,
     multi_head_attention,
+    object_stack,
     single_modality_layer,
 )
 from crossmodal.params import init_params, parameter_layout
-from crossmodal.tensor import Tape, Tensor, backward, linear, tensor, tsum
+from crossmodal.tensor import Tape, Tensor, backward, linear, tensor, tsum, using_dtype
 from helpers import forward_one, unmasked_row
 
 CFG = ModelConfig(vocab_size=23, num_labels=5, num_answers=4, dropout=0.0).validate()
@@ -326,3 +339,60 @@ def test_cls_gradient_reaches_language_path_of_every_layer():
         if name.startswith(("lang.", "vis.")) or ".l2r" in name or ".self_l" in name or ".ff_l" in name:
             g = params[name].grad
             assert g is not None and np.abs(g).sum() > 0, f"cls does not reach {name}"
+
+
+# ---------------------------------------------------------------------------
+# cross_stack asked for one output
+
+
+def _stages(packed, params, cfg):
+    """The two single-modality stacks' states of ``packed``, as ``cross_stack``'s first arguments."""
+    lang, _ = language_stack(packed.token_ids, packed.token_mask, params, cfg)
+    vis, _ = object_stack(packed.roi_features, packed.boxes, packed.obj_mask_flags,
+                          packed.obj_real, params, cfg)
+    return lang, vis, packed.token_mask, packed.obj_real
+
+
+@settings(max_examples=25, deadline=None)
+@given(corpus_seed=st.integers(0, 2 ** 16), n_images=st.integers(1, 8),
+       objects=st.integers(2, 6), cross_layers=st.integers(1, 3), batch=st.integers(1, 12),
+       draw_seed=st.integers(0, 2 ** 16), dtype=st.sampled_from([np.float32, np.float64]))
+def test_cross_stack_asked_for_cls_or_objects_matches_forward_batch(
+        corpus_seed, n_images, objects, cross_layers, batch, draw_seed, dtype):
+    with using_dtype(dtype):
+        records, store = generate_synthetic_corpus(
+            seed=corpus_seed, n_images=n_images, label_vocab=DEFAULT_LABELS[:6], feat_dim=8,
+            objects_per_image=objects, dev_fraction=0.0)
+        vocab = Vocabulary.from_records(records)
+        table = build_answer_table(records, 1.0)
+        cfg = ModelConfig(n_lang_layers=1, n_cross_layers=cross_layers, n_vis_layers=1,
+                          hidden_size=16, num_heads=2, feat_dim=8, objects_per_image=objects,
+                          vocab_size=len(vocab), num_labels=6,
+                          num_answers=len(table)).validate()
+        rng = np.random.default_rng(draw_seed)
+        params = init_params(cfg, rng)
+        # masked words and objects, and mismatched rows where the corpus allows them
+        mismatch = 0.5 if can_mismatch(records) else 0.0
+        maker = BatchMaker(records, store, vocab, table, MaskingConfig(0.15, 0.15, mismatch), cfg)
+        chunk = [records[i] for i in rng.integers(0, len(records), size=batch)]
+        packed = collate(maker.make_batch(chunk, rng), vocab)
+        full = forward_batch(packed, params, cfg)
+        cls = cross_stack(*_stages(packed, params, cfg), params, cfg, keep="cls")
+        vis = cross_stack(*_stages(packed, params, cfg), params, cfg, keep="vis")
+    assert cls.lang is cls.vis is vis.lang is vis.cls is None
+    atol = 1e-12 if dtype == np.float64 else 32 * np.finfo(np.float32).eps
+    assert cls.cls.data.dtype == vis.vis.data.dtype == np.dtype(dtype)
+    np.testing.assert_allclose(cls.cls.data, full.cls.data, rtol=0, atol=atol)
+    np.testing.assert_allclose(vis.vis.data, full.vis.data, rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("keep", ["cls", "vis"])
+def test_cross_stack_asked_for_less_in_training_mode_raises(keep):
+    params = make_params(4)
+    rng = np.random.default_rng(5)
+    lang, vis = _rand(rng, 2, 5, CFG.hidden_size), _rand(rng, 2, 3, CFG.hidden_size)
+    masks = np.ones((2, 5), bool), np.ones((2, 3), bool)
+    with pytest.raises(ValueError, match="dropout draw"):
+        cross_stack(lang, vis, *masks, params, CFG, Runtime(training=True, rng=rng), keep=keep)
+    with pytest.raises(ValueError, match="not 'lang'"):
+        cross_stack(lang, vis, *masks, params, CFG, keep="lang")

@@ -15,10 +15,13 @@ from crossmodal.data import (
     DEFAULT_LABELS,
     AnswerTable,
     BatchMaker,
+    CrossModalBatch,
     Vocabulary,
     collate,
     generate_pairwise_corpus,
     generate_synthetic_corpus,
+    plain_row,
+    tokenize,
 )
 from crossmodal.embeddings import embed_objects, embed_words
 from crossmodal.encoders import Runtime, forward_batch
@@ -243,6 +246,80 @@ def test_dev_scorer_matches_forward_batch_on_every_pass(corpus_seed, n_images, o
         # rows differently, so allow 32 float32 epsilons on unit-scale states
         np.testing.assert_allclose(got, reference[head], rtol=1e-6,
                                    atol=32 * np.finfo(np.float32).eps, err_msg=head)
+
+
+def _counting_cross_stack(monkeypatch):
+    """Wrap the cross stack the scorer calls: a list of (keep, rows) per call, and a
+    "qa" entry where the QA pass starts."""
+    calls = []
+    cross_stack, qa_accuracy = train.cross_stack, train._qa_accuracy
+
+    def counting(lang, *args, keep="all", **kwargs):
+        calls.append((keep, lang.shape[0]))
+        return cross_stack(lang, *args, keep=keep, **kwargs)
+
+    def marked(*args):
+        calls.append("qa")
+        return qa_accuracy(*args)
+
+    monkeypatch.setattr(train, "cross_stack", counting)
+    monkeypatch.setattr(train, "_qa_accuracy", marked)
+    return calls
+
+
+def test_qa_pass_runs_no_row_the_match_pass_scored(monkeypatch):
+    records, store = generate_synthetic_corpus(seed=3, n_images=16, label_vocab=DEFAULT_LABELS,
+                                               dev_fraction=0.5)
+    train_rows = [r for r in records if r.split == "train"]
+    dev = [r for r in records if r.split == "dev"]
+    # every dev caption, and two questions
+    dev = [r for r in dev if not r.is_question] + [r for r in dev if r.is_question][:2]
+    bundle = DataBundle(train_rows + dev, store, Vocabulary.from_records(train_rows),
+                        list(DEFAULT_LABELS))
+    ckpt = make_initial_checkpoint(RunConfig(), bundle, seed=0)
+    table = AnswerTable(ckpt.extra["answers"])
+    questions = [(tokenize(r.sentence, bundle.vocab, ckpt.config.max_sentence_len).tobytes(),
+                  r.image_id) for r in dev
+                 if r.is_question and table.lookup(r.answer) != train.OUT_OF_TABLE]
+
+    def match_pass_rows(seed):
+        """The (token ids, image id) of each row the match pass feeds, by replaying its draws."""
+        rng = np.random.default_rng(seed)
+        maker = BatchMaker(dev, store, bundle.vocab, table, MaskingConfig(0.0, 0.0, 0.5),
+                           ckpt.config)
+        return [(row.token_ids.tobytes(), r.image_id) for i in range(0, len(dev), 32)
+                for r, row in zip(dev[i:i + 32], maker.make_batch(dev[i:i + 32], rng).rows)]
+
+    # a pass seed whose match pass feeds both questions with their own image
+    seed = next(s for s in range(100) if set(questions) <= set(match_pass_rows(s)))
+    assert questions
+    calls = _counting_cross_stack(monkeypatch)
+    metrics = evaluate_checkpoint(ckpt, bundle, seed=seed)
+    assert metrics["qa_n"] == len(questions)
+    qa_start = calls.index("qa")
+    assert calls[qa_start + 1:] == []
+    # the match pass runs each distinct row once, [CLS] only
+    match = [n for keep, n in calls[:qa_start] if keep == "cls"]
+    assert sum(match) == len(set(match_pass_rows(seed))) < len(dev)
+    assert all(keep in ("cls", "vis") for keep, _ in calls[:qa_start])
+
+
+def test_dev_scorer_runs_a_row_that_repeats_in_its_batch_once(monkeypatch):
+    bundle = small_bundle(n_images=8)
+    ckpt = make_initial_checkpoint(RunConfig(), bundle, seed=1)
+    first, *rest = bundle.split("dev")
+    other = next(r for r in rest if (r.sentence, r.image_id) != (first.sentence, first.image_id))
+    chunk = [first, other, first, first]
+    rows = [plain_row(r.image_id, r.sentence, bundle.store, bundle.vocab, ckpt.config)
+            for r in chunk]
+    packed = collate(CrossModalBatch(rows), bundle.vocab)
+    calls = _counting_cross_stack(monkeypatch)
+    cls = train._DevScorer(ckpt.params, ckpt.config).cls_rows(
+        [r.image_id for r in chunk], packed).data
+    assert calls == [("cls", 2)]
+    assert np.array_equal(cls[0], cls[2]) and np.array_equal(cls[0], cls[3])
+    np.testing.assert_allclose(cls, forward_batch(packed, ckpt.params, ckpt.config).cls.data,
+                               rtol=0, atol=32 * np.finfo(np.float32).eps)
 
 
 @pytest.mark.parametrize("dev_rows, seed", [(1, 2), (33, 8)])
