@@ -13,13 +13,15 @@ The first two are single-modality, so a sentence's or an image's states do
 not depend on the other modality, and evaluation encodes each once.
 ``forward_batch`` runs the three in that order on one packed batch.
 
-The heads read two things from the cross stack: matching, QA and the
-pairwise head read the language stream's [CLS] row, and the masked-object
-heads read the object stream. In eval mode ``cross_stack`` can be asked
-for one of them alone; its last layer then runs only that stream, and for
-the [CLS] row only that query row after the cross-attention sub-layer.
-Training always runs whole layers, since a skipped sub-layer would skip
-its dropout draw and move every later draw of the run's generator.
+One function, ``cross_modality_layer``, runs a cross-modality layer for
+training and for evaluation. The heads read two things from the cross
+stack: matching, QA and the pairwise head read the language stream's [CLS]
+row, and the masked-object heads read the object stream. In eval mode
+``cross_stack`` can be asked for one of them alone. It passes that ``keep``
+to its last layer, which then runs only that stream, and for the [CLS] row
+only that query row from self-attention on. Training always runs whole
+layers, since a skipped sub-layer would skip its dropout draw and move
+every later draw of the run's generator.
 """
 
 from __future__ import annotations
@@ -128,58 +130,50 @@ def cross_modality_layer(
     prefix: str,
     cfg: ModelConfig,
     rt: Runtime,
-) -> tuple[Tensor, Tensor, list[tuple[str, np.ndarray]]]:
+    keep: str = "all",
+) -> tuple[Tensor | None, Tensor | None, list[tuple[str, np.ndarray]]]:
     """One cross-modality layer: Cross, then Self per modality, then FF.
 
     The two cross-attention directions both read the layer inputs; neither
-    sees the other's output.
+    sees the other's output. The layer runs stage by stage (cross-attention,
+    its residual, self-attention, its residual, feed-forward), the language
+    stream before the object stream within each stage. That fixes the order
+    of a training pass's dropout draws and of the returned attention weights.
+
+    ``keep`` "all" runs both streams. In eval mode, "vis" runs the object
+    stream alone, and "cls" the language stream alone, from self-attention
+    on for the [CLS] query row only, so its output is (B, 1, d). A stream
+    not run comes back as None. Asking for less in training mode raises
+    ``ValueError``: a skipped sub-layer would skip its dropout draw and move
+    every later draw of the run's generator.
     """
-    l2r, w_l2r = multi_head_attention(lang, vis, vis_mask, params, f"{prefix}.l2r", cfg, rt)
-    r2l, w_r2l = multi_head_attention(vis, lang, lang_mask, params, f"{prefix}.r2l", cfg, rt)
-    lang_x = _attention_out(lang, l2r, params, f"{prefix}.l2r", cfg, rt)
-    vis_x = _attention_out(vis, r2l, params, f"{prefix}.r2l", cfg, rt)
-
-    self_l, w_sl = multi_head_attention(lang_x, lang_x, lang_mask, params, f"{prefix}.self_l", cfg, rt)
-    self_r, w_sr = multi_head_attention(vis_x, vis_x, vis_mask, params, f"{prefix}.self_r", cfg, rt)
-    lang_s = _attention_out(lang_x, self_l, params, f"{prefix}.self_l", cfg, rt)
-    vis_s = _attention_out(vis_x, self_r, params, f"{prefix}.self_r", cfg, rt)
-
-    lang_out = _feed_forward(lang_s, params, f"{prefix}.ff_l", cfg, rt)
-    vis_out = _feed_forward(vis_s, params, f"{prefix}.ff_r", cfg, rt)
-    weights = [
-        ("cross-L->R", w_l2r),
-        ("cross-R->L", w_r2l),
-        ("self-L", w_sl),
-        ("self-R", w_sr),
-    ]
+    if keep not in ("all", "cls", "vis"):
+        raise ValueError(f"a cross-modality layer keeps 'all', 'cls' or 'vis', not {keep!r}")
+    if keep != "all" and rt.training:
+        raise ValueError("a training pass runs whole cross-modality layers: a skipped "
+                         "sub-layer would skip its dropout draw")
+    # stream 0 is language, stream 1 objects; each cross-attends to the other
+    x, masks = [lang, vis], (lang_mask, vis_mask)
+    run = [i for i, skipped_by in enumerate(("vis", "cls")) if keep != skipped_by]
+    cross = (f"{prefix}.l2r", f"{prefix}.r2l")
+    self_ = (f"{prefix}.self_l", f"{prefix}.self_r")
+    ff = (f"{prefix}.ff_l", f"{prefix}.ff_r")
+    heads, weights = [None, None], []
+    for i in run:
+        heads[i], w = multi_head_attention(x[i], x[1 - i], masks[1 - i], params, cross[i], cfg, rt)
+        weights.append((("cross-L->R", "cross-R->L")[i], w))
+    for i in run:
+        x[i] = _attention_out(x[i], heads[i], params, cross[i], cfg, rt)
+    query = [x[0][:, :1] if keep == "cls" else x[0], x[1]]
+    for i in run:
+        heads[i], w = multi_head_attention(query[i], x[i], masks[i], params, self_[i], cfg, rt)
+        weights.append((("self-L", "self-R")[i], w))
+    for i in run:
+        x[i] = _attention_out(query[i], heads[i], params, self_[i], cfg, rt)
+    for i in run:
+        x[i] = _feed_forward(x[i], params, ff[i], cfg, rt)
+    lang_out, vis_out = (x[i] if i in run else None for i in (0, 1))
     return lang_out, vis_out, weights
-
-
-# the sub-layers of each stream of a cross-modality layer, and its attention directions
-_STREAMS = {
-    "cls": (("l2r", "self_l", "ff_l"), ("cross-L->R", "self-L")),
-    "vis": (("r2l", "self_r", "ff_r"), ("cross-R->L", "self-R")),
-}
-
-
-def _cross_stream(x: Tensor, other: Tensor, x_mask: np.ndarray | None,
-                  other_mask: np.ndarray | None, params: dict[str, Tensor], prefix: str,
-                  cfg: ModelConfig, keep: str) -> tuple[Tensor, list[tuple[str, np.ndarray]]]:
-    """One stream of an eval-mode cross-modality layer: the language stream's
-    [CLS] row (``keep`` "cls", (B, 1, d)) or the object stream ("vis", (B, m, d)).
-
-    Cross-attention and its residual run for every row of ``x``, since they
-    are the self-attention's context; self-attention, its residual and the
-    feed-forward sub-layer then run for the kept query rows only.
-    """
-    (cross, self_, ff), directions = _STREAMS[keep]
-    att, w_cross = multi_head_attention(x, other, other_mask, params, f"{prefix}.{cross}", cfg, EVAL)
-    x = _attention_out(x, att, params, f"{prefix}.{cross}", cfg, EVAL)
-    query = x[:, :1] if keep == "cls" else x
-    att, w_self = multi_head_attention(query, x, x_mask, params, f"{prefix}.{self_}", cfg, EVAL)
-    y = _attention_out(query, att, params, f"{prefix}.{self_}", cfg, EVAL)
-    out = _feed_forward(y, params, f"{prefix}.{ff}", cfg, EVAL)
-    return out, list(zip(directions, (w_cross, w_self)))
 
 
 def language_stack(token_ids: np.ndarray, token_mask: np.ndarray, params: dict[str, Tensor],
@@ -211,31 +205,18 @@ def cross_stack(lang: Tensor, vis: Tensor, token_mask: np.ndarray, obj_real: np.
                 keep: str = "all") -> ModelOutputs:
     """The ``cross.*`` layers on the two single-modality stacks' states, and the [CLS] row.
 
-    ``keep`` "all" runs every layer whole. In eval mode, "cls" returns only
-    ``cls`` and "vis" only ``vis``: every layer but the last runs whole,
-    and the last runs only what its kept output reads (``_cross_stream``).
-    Asking for less in training mode raises ``ValueError``.
+    Every layer but the last runs whole; the last gets ``keep``
+    (``cross_modality_layer``). "all" returns every output, "cls" only
+    ``cls`` and "vis" only ``vis``.
     """
-    if keep not in ("all", *_STREAMS):
-        raise ValueError(f"cross_stack keeps 'all', 'cls' or 'vis', not {keep!r}")
-    if keep != "all" and rt.training:
-        raise ValueError("a training pass runs whole cross-modality layers: a skipped "
-                         "sub-layer would skip its dropout draw")
-    whole = cfg.n_cross_layers - (keep != "all")
+    last = cfg.n_cross_layers - 1
     records = []
-    for k in range(whole):
-        lang, vis, group = cross_modality_layer(
-            lang, vis, token_mask, obj_real, params, f"cross.{k}", cfg, rt)
+    for k in range(cfg.n_cross_layers):
+        lang, vis, group = cross_modality_layer(lang, vis, token_mask, obj_real, params,
+                                                f"cross.{k}", cfg, rt, keep if k == last else "all")
         records.extend(AttentionRecord("cross", k, name, w) for name, w in group)
-    if keep == "all":
-        return ModelOutputs(lang=lang, vis=vis, cls=lang[:, 0, :], attention=records)
-    x, other, masks = (lang, vis, (token_mask, obj_real)) if keep == "cls" else (
-        vis, lang, (obj_real, token_mask))
-    out, group = _cross_stream(x, other, *masks, params, f"cross.{whole}", cfg, keep)
-    records.extend(AttentionRecord("cross", whole, name, w) for name, w in group)
-    if keep == "cls":
-        return ModelOutputs(lang=None, vis=None, cls=out[:, 0, :], attention=records)
-    return ModelOutputs(lang=None, vis=out, cls=None, attention=records)
+    return ModelOutputs(lang=lang if keep == "all" else None, vis=vis,
+                        cls=None if lang is None else lang[:, 0, :], attention=records)
 
 
 def forward_batch(packed: PackedBatch, params: dict[str, Tensor], cfg: ModelConfig,

@@ -568,6 +568,10 @@ def run_finetune_qa(ckpt: Checkpoint, bundle: DataBundle, run_cfg: RunConfig,
         fresh = init_head_params(cfg, head_rng, PRETRAIN_HEADS)
         params["head.qa.w"] = fresh["head.qa.w"]
         params["head.qa.b"] = fresh["head.qa.b"]
+    rows_train = [r for r in train_qs if table.lookup(r.answer) != OUT_OF_TABLE]
+    if not rows_train:
+        raise ValueError("the checkpoint's stored answer table holds no answer of a train "
+                         "question, so --reuse-qa-head has nothing to fine-tune on")
     rt = Runtime(training=True, rng=train_rng)
 
     def step_loss(chunk):
@@ -577,7 +581,6 @@ def run_finetune_qa(ckpt: Checkpoint, bundle: DataBundle, run_cfg: RunConfig,
                           packed.is_question, params)
         return loss, {"loss": loss.item()}
 
-    rows_train = [r for r in train_qs if table.lookup(r.answer) != OUT_OF_TABLE]
     result = _fit(
         rows_train, step_loss, params, train_rng, out_dir,
         lambda _: Checkpoint(config=cfg, heads=(PRETRAIN_HEADS,), params=params,

@@ -12,6 +12,7 @@ from crossmodal.data import (
     BatchRow,
     CrossModalBatch,
     Vocabulary,
+    can_mismatch,
     collate,
     plain_row,
 )
@@ -117,7 +118,7 @@ def reference_evaluation(ckpt, bundle, seed: int, batch_size: int = 32):
         return rows, packed.detected_labels.reshape(-1)[picked]
 
     match = (float("nan"), 0)
-    if len({r.image_id for r in dev}) >= 2:
+    if can_mismatch(dev):
         match = score("head.match",
                       passes(word_mask_prob=0.0, object_mask_prob=0.0, mismatch_prob=0.5),
                       lambda packed, out: (out.cls, packed.match_labels))

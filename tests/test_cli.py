@@ -296,6 +296,21 @@ def test_finetune_config_reuse_qa_head_is_kept_without_the_flag(data_dir, run_di
     assert not np.array_equal(heads["fresh"][1], heads["config"][1])
 
 
+def test_reused_answer_table_without_a_train_answer_is_config_error(data_dir, run_dir, tmp_path,
+                                                                    capsys):
+    # every stored answer renamed: no train question keeps a target in the reused head
+    ckpt = load_checkpoint(run_dir / "checkpoint-final.ckpt")
+    ckpt.extra["answers"] = [f"renamed-{answer}" for answer in ckpt.extra["answers"]]
+    save_checkpoint(tmp_path / "renamed.ckpt", ckpt)
+    out = tmp_path / "finetune"
+    code = main(["finetune", "--task", "qa", "--reuse-qa-head", "--data", str(data_dir),
+                 "--checkpoint", str(tmp_path / "renamed.ckpt"), "--epochs", "1",
+                 "--seed", "2", "--out", str(out)])
+    assert code == 2
+    assert "holds no answer of a train question" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_data_dir_without_labels_file_is_data_error(data_dir, run_dir, tmp_path, capsys):
     bad = tmp_path / "data"
     shutil.copytree(data_dir, bad)

@@ -22,6 +22,10 @@ def test_fixed_seed_digest_is_repeatable():
                  "finetune-qa-reused/checkpoint-final.ckpt", "finetune-pairwise/metrics.jsonl",
                  "finetune-pairwise-scratch/checkpoint-final.ckpt", "attention.json"):
         assert path in paths
+    # each command's stdout, which alone carries the fine-tune dev accuracies
+    for i, command in enumerate(["gen-data"] + ["pretrain"] * 3 + ["evaluate"]
+                                + ["finetune"] * 4 + ["dump-attention"]):
+        assert f"stdout/{i:02d}-{command}.txt" in paths
     # a resumed run ends where the uninterrupted one does, also with no steps left
     final = {path: line.split("  ", 1)[0] for line, path in zip(first, paths)}
     assert final["resumed/checkpoint-final.ckpt"] == final["pretrain/checkpoint-final.ckpt"]

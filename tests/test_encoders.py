@@ -214,6 +214,45 @@ def test_cross_path_is_live():
     assert np.abs(vo.data - vo_self.data).max() > 1e-3
 
 
+def test_cross_layer_training_draws_dropout_in_documented_order():
+    # training runs l2r, r2l, their residuals, self_l, self_r, their
+    # residuals, ff_l, ff_r; a reordered layer draws different masks
+    from crossmodal.encoders import _attention_out, _feed_forward
+    cfg = ModelConfig(vocab_size=23, num_labels=5, num_answers=4, dropout=0.3).validate()
+    params = make_params(22, cfg)
+    rng = np.random.default_rng(23)
+    lang, vis = _rand(rng, 2, 6, cfg.hidden_size), _rand(rng, 2, 4, cfg.hidden_size)
+    lang_mask, vis_mask = np.ones((2, 6), bool), np.ones((2, 4), bool)
+    lang_mask[1, 3:] = False
+    rt = Runtime(training=True, rng=np.random.default_rng(24))
+    lo, vo, weights = cross_modality_layer(lang, vis, lang_mask, vis_mask, params, "cross.1",
+                                           cfg, rt)
+
+    ref = Runtime(training=True, rng=np.random.default_rng(24))
+
+    def attend(query, context, mask, name):
+        return multi_head_attention(query, context, mask, params, f"cross.1.{name}", cfg, ref)
+
+    def out(x, heads, name):
+        return _attention_out(x, heads, params, f"cross.1.{name}", cfg, ref)
+
+    l2r, w_l2r = attend(lang, vis, vis_mask, "l2r")
+    r2l, w_r2l = attend(vis, lang, lang_mask, "r2l")
+    lang_x, vis_x = out(lang, l2r, "l2r"), out(vis, r2l, "r2l")
+    self_l, w_sl = attend(lang_x, lang_x, lang_mask, "self_l")
+    self_r, w_sr = attend(vis_x, vis_x, vis_mask, "self_r")
+    lang_s, vis_s = out(lang_x, self_l, "self_l"), out(vis_x, self_r, "self_r")
+    lang_out = _feed_forward(lang_s, params, "cross.1.ff_l", cfg, ref)
+    vis_out = _feed_forward(vis_s, params, "cross.1.ff_r", cfg, ref)
+
+    assert lo.data.tobytes() == lang_out.data.tobytes()
+    assert vo.data.tobytes() == vis_out.data.tobytes()
+    assert [name for name, _ in weights] == ["cross-L->R", "cross-R->L", "self-L", "self-R"]
+    for (_, w), w_ref in zip(weights, (w_l2r, w_r2l, w_sl, w_sr)):
+        assert w.tobytes() == w_ref.tobytes()
+    assert rt.rng.bit_generator.state == ref.rng.bit_generator.state
+
+
 # ---------------------------------------------------------------------------
 # full model
 

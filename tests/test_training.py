@@ -211,6 +211,8 @@ def test_evaluate_checkpoint_reports_metrics(tmp_path):
        init_seed=st.integers(0, 2 ** 16), eval_seed=st.integers(0, 2 ** 16))
 # the label pass flags no object at all
 @example(corpus_seed=1, n_images=2, objects=2, dev_fraction=0.5, init_seed=0, eval_seed=1269)
+# one of the dev split's two images holds every sentence of the split: no match pass
+@example(corpus_seed=535, n_images=4, objects=2, dev_fraction=0.5, init_seed=0, eval_seed=1)
 def test_dev_scorer_matches_forward_batch_on_every_pass(corpus_seed, n_images, objects,
                                                         dev_fraction, init_seed, eval_seed):
     # captions list every object, so sentence lengths differ within a corpus and the

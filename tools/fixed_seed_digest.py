@@ -11,11 +11,14 @@ and in a temporary directory: ``gen-data``, a 2-epoch ``pretrain``,
 ``finetune --task qa`` (with a fresh answer head and with
 ``--reuse-qa-head``), ``finetune --task pairwise`` (from the pre-trained
 checkpoint and ``--from-scratch``) and ``dump-attention``, each as its own
-``python -m crossmodal.cli`` process. It then prints one
-``sha256  path`` line per file the pipeline wrote, sorted by path. A
-``metrics.jsonl`` is hashed without its ``wall_time`` fields, the only
-values that differ between identical runs. Two checkouts whose outputs are
-byte-identical print the same lines, so ``diff`` compares them.
+``python -m crossmodal.cli`` process. Each command's stdout goes to
+``stdout/NN-COMMAND.txt`` in that directory, so values printed and not
+written elsewhere, such as the fine-tune dev accuracies, are compared too.
+It then prints one ``sha256  path`` line per file the pipeline wrote,
+sorted by path. A ``metrics.jsonl`` is hashed without its ``wall_time``
+fields, the only values that differ between identical runs. Two checkouts
+whose outputs are byte-identical print the same lines, so ``diff``
+compares them.
 """
 
 from __future__ import annotations
@@ -72,9 +75,11 @@ def digests(checkout: str) -> list[str]:
     with tempfile.TemporaryDirectory(prefix="digest-") as work:
         with open(os.path.join(work, "pretrain.json"), "w", encoding="utf-8") as fh:
             json.dump(PRETRAIN_CONFIG, fh)
-        for argv in pipeline():
-            subprocess.run([sys.executable, "-m", "crossmodal.cli", *argv], cwd=work, env=env,
-                           stdout=subprocess.DEVNULL, check=True)
+        os.mkdir(os.path.join(work, "stdout"))
+        for i, argv in enumerate(pipeline()):
+            with open(os.path.join(work, "stdout", f"{i:02d}-{argv[0]}.txt"), "wb") as out:
+                subprocess.run([sys.executable, "-m", "crossmodal.cli", *argv], cwd=work,
+                               env=env, stdout=out, check=True)
         lines = []
         for root, _, files in os.walk(work):
             for name in files:
